@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Warn-only perf trend gate for the fleet and queue benches.
+"""Warn-only perf trend gate for the fleet bench.
 
 Diffs a fresh BENCH_fleet.json against the committed baseline
 (bench/baselines/BENCH_fleet.json) and emits GitHub Actions ::warning::
@@ -7,12 +7,6 @@ annotations for any (scenario, conns) row whose events/sec regressed more
 than the threshold (default 10%). The fleet/1024 row is the headline
 number from the queue-layer refactor (EXPERIMENTS.md), so its warning is
 called out explicitly.
-
-With --queue it additionally diffs a fresh BENCH_queue.json against
-bench/baselines/BENCH_queue.json, keyed on (op, repr, entries) over
-ns_per_op (higher is worse). The queue threshold is looser by default
-(25%): single-op nanosecond timings on shared runners are noisier than
-the aggregated fleet number.
 
 Always exits 0: shared CI runners make absolute numbers too noisy to
 fail the build on — the annotations are a trend signal for reviewers, not
@@ -30,53 +24,6 @@ def load_rows(path):
     return {(r["scenario"], r["conns"]): r for r in data.get("rows", [])}
 
 
-def load_queue_rows(path):
-    with open(path) as f:
-        data = json.load(f)
-    return {(r["op"], r["repr"], r["entries"]): r for r in data.get("rows", [])}
-
-
-def check_queue(current_path, baseline_path, threshold):
-    """Warns on (op, repr, entries) rows whose ns_per_op grew past the
-    threshold. Returns the number of regressed rows (informational only)."""
-    try:
-        baseline = load_queue_rows(baseline_path)
-        current = load_queue_rows(current_path)
-    except (OSError, json.JSONDecodeError, KeyError) as err:
-        print(f"::warning::queue perf gate skipped: {err}")
-        return 0
-
-    regressions = []
-    for key, base_row in sorted(baseline.items()):
-        cur_row = current.get(key)
-        if cur_row is None:
-            continue
-        base = base_row["ns_per_op"]
-        cur = cur_row["ns_per_op"]
-        if base <= 0:
-            continue
-        delta = (cur - base) / base  # positive = slower
-        op, repr_, entries = key
-        tag = f"{op}/{repr_}/{entries}"
-        print(f"{tag}: {cur:.2f} ns/op vs baseline {base:.2f} ({delta:+.1%})")
-        if delta > threshold and cur_row["repr"] == "packet_queue":
-            # Only the flat ring is ours to regress; the deque columns are
-            # the reference implementation and drift with the toolchain.
-            regressions.append((tag, base, cur, delta))
-
-    for tag, base, cur, delta in regressions:
-        print(
-            f"::warning file=bench/baselines/BENCH_queue.json::"
-            f"queue-layer regression: {tag} at {cur:.2f} ns/op, "
-            f"{delta:.1%} above the committed baseline ({base:.2f} ns/op). "
-            f"If intentional, refresh the baseline with "
-            f"bench_queue --out bench/baselines/BENCH_queue.json."
-        )
-    if not regressions:
-        print("queue perf gate: all rows within threshold")
-    return len(regressions)
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("current", help="freshly produced BENCH_fleet.json")
@@ -91,25 +38,7 @@ def main():
         default=0.10,
         help="relative regression that triggers a warning (0.10 = 10%%)",
     )
-    parser.add_argument(
-        "--queue",
-        help="freshly produced BENCH_queue.json (optional second gate)",
-    )
-    parser.add_argument(
-        "--queue-baseline",
-        default="bench/baselines/BENCH_queue.json",
-        help="committed queue-bench reference JSON",
-    )
-    parser.add_argument(
-        "--queue-threshold",
-        type=float,
-        default=0.25,
-        help="ns_per_op growth that triggers a queue warning (0.25 = 25%%)",
-    )
     args = parser.parse_args()
-
-    if args.queue:
-        check_queue(args.queue, args.queue_baseline, args.queue_threshold)
 
     try:
         baseline = load_rows(args.baseline)

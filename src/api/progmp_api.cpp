@@ -1,5 +1,6 @@
 #include "api/progmp_api.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "mptcp/path_health.hpp"
@@ -23,6 +24,27 @@ class SchedulerInstance final : public mptcp::Scheduler {
  private:
   std::shared_ptr<rt::ProgmpProgram> program_;
 };
+
+/// One queue's figures for the proc dump's `queue seq:` line.
+struct QueueSeqSummary {
+  std::uint64_t min_seq = 0;  ///< 0 when the queue is empty
+  std::uint64_t max_seq = 0;
+  std::int64_t sent = 0;       ///< packets scheduled on at least one subflow
+  std::int64_t flow_ends = 0;  ///< packets carrying the end-of-flow signal
+};
+
+QueueSeqSummary summarize(const mptcp::PacketQueue& queue) {
+  QueueSeqSummary s;
+  bool first = true;
+  for (const mptcp::SkbPtr& skb : queue) {
+    s.min_seq = first ? skb->meta_seq : std::min(s.min_seq, skb->meta_seq);
+    s.max_seq = first ? skb->meta_seq : std::max(s.max_seq, skb->meta_seq);
+    first = false;
+    if (skb->sent_mask != 0) ++s.sent;
+    if (skb->props.flow_end) ++s.flow_ends;
+  }
+  return s;
+}
 
 }  // namespace
 
@@ -92,27 +114,25 @@ std::string ProgmpApi::proc_stats(mptcp::MptcpConnection& conn) {
   std::snprintf(buf, sizeof buf, "Q: %zu  QU: %zu  RQ: %zu\n", conn.q_len(),
                 conn.qu_len(), conn.rq_len());
   out += buf;
-  // Constant-time queue aggregates maintained by the flat queue layer.
-  const mptcp::PacketQueue& q = conn.sending_queue();
-  const mptcp::PacketQueue& qu = conn.inflight_queue();
-  const mptcp::PacketQueue& rq = conn.reinjection_queue();
   std::snprintf(buf, sizeof buf,
                 "queue bytes: Q=%lld QU=%lld RQ=%lld\n",
-                static_cast<long long>(q.bytes()),
-                static_cast<long long>(qu.bytes()),
-                static_cast<long long>(rq.bytes()));
+                static_cast<long long>(conn.sending_queue().bytes()),
+                static_cast<long long>(conn.inflight_queue().bytes()),
+                static_cast<long long>(conn.reinjection_queue().bytes()));
   out += buf;
+  const QueueSeqSummary q = summarize(conn.sending_queue());
+  const QueueSeqSummary qu = summarize(conn.inflight_queue());
+  const QueueSeqSummary rq = summarize(conn.reinjection_queue());
   std::snprintf(buf, sizeof buf,
                 "queue seq: Q=[%llu..%llu] QU=[%llu..%llu] qu_sent=%lld "
                 "flow_end=%lld\n",
-                static_cast<unsigned long long>(q.min_meta_seq()),
-                static_cast<unsigned long long>(q.max_meta_seq()),
-                static_cast<unsigned long long>(qu.min_meta_seq()),
-                static_cast<unsigned long long>(qu.max_meta_seq()),
-                static_cast<long long>(qu.sent_count()),
-                static_cast<long long>(q.flow_end_count() +
-                                       qu.flow_end_count() +
-                                       rq.flow_end_count()));
+                static_cast<unsigned long long>(q.min_seq),
+                static_cast<unsigned long long>(q.max_seq),
+                static_cast<unsigned long long>(qu.min_seq),
+                static_cast<unsigned long long>(qu.max_seq),
+                static_cast<long long>(qu.sent),
+                static_cast<long long>(q.flow_ends + qu.flow_ends +
+                                       rq.flow_ends));
   out += buf;
   const TimeNs now = conn.simulator().now();
   for (int slot = 0; slot < conn.subflow_count(); ++slot) {

@@ -73,8 +73,7 @@ void install_connection_invariants(InvariantChecker& checker,
       "queue_membership", [&conn]() -> std::optional<std::string> {
         // audit() proves each queue's internals: membership flag set, the
         // intrusive slot index round-trips (which rules out duplicates), and
-        // every cached aggregate — including the QU byte total that replaced
-        // the hand-maintained qu_bytes counter — matches a recompute.
+        // the cached byte total matches a recompute.
         struct NamedQueue {
           const char* name;
           const PacketQueue* queue;
@@ -90,17 +89,17 @@ void install_connection_invariants(InvariantChecker& checker,
         // Lifecycle exclusion stays a connection-level rule: acked/dropped
         // packets must not linger in any queue (QU tolerates dropped-on-wire
         // packets no more than Q/RQ do for acked ones).
-        for (const PacketQueue::Entry& e : conn.sending_queue()) {
-          if (e.skb->acked || e.skb->dropped) {
-            return skb_id(*e.skb) + " in Q but acked/dropped";
+        for (const SkbPtr& skb : conn.sending_queue()) {
+          if (skb->acked || skb->dropped) {
+            return skb_id(*skb) + " in Q but acked/dropped";
           }
         }
-        for (const PacketQueue::Entry& e : conn.inflight_queue()) {
-          if (e.skb->acked) return skb_id(*e.skb) + " in QU but already acked";
+        for (const SkbPtr& skb : conn.inflight_queue()) {
+          if (skb->acked) return skb_id(*skb) + " in QU but already acked";
         }
-        for (const PacketQueue::Entry& e : conn.reinjection_queue()) {
-          if (e.skb->acked || e.skb->dropped) {
-            return skb_id(*e.skb) + " in RQ but acked/dropped";
+        for (const SkbPtr& skb : conn.reinjection_queue()) {
+          if (skb->acked || skb->dropped) {
+            return skb_id(*skb) + " in RQ but acked/dropped";
           }
         }
         return std::nullopt;

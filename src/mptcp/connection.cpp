@@ -312,8 +312,6 @@ void MptcpConnection::fail_subflow(int slot) {
   // revived) instead of wedging.
   for (const SkbPtr& skb : orphans) {
     skb->sent_mask &= ~(1u << static_cast<unsigned>(slot));
-    // The meta queues cache the mask in their entries; re-sync them.
-    queues_.refresh_sent_mask(skb.get());
   }
   // The deliberately-broken build for the chaos-soak self-test: dropping the
   // harvest strands the orphans in QU with no owner, which the
@@ -633,8 +631,7 @@ void MptcpConnection::watchdog_poll() {
         // packet most likely wedged on a path that silently ate it. The
         // reinjection-first rule of every scheduler retransmits it on the
         // next available subflow.
-        for (const PacketQueue::Entry& e : queues_.qu) {
-          const SkbPtr& skb = e.skb;
+        for (const SkbPtr& skb : queues_.qu) {
           if (skb->acked || skb->dropped || skb->in_rq || skb->in_q) continue;
           queues_.rq.push_back(skb);
           ++stall_rescues_;
@@ -762,7 +759,6 @@ void MptcpConnection::apply_actions(const SchedulerContext& ctx) {
     auto& sbf = *subflows_[static_cast<std::size_t>(action.subflow_slot)];
     if (!sbf.established()) continue;  // subflow vanished: graceful no-op
     skb->mark_sent_on(action.subflow_slot, sim_.now());
-    queues_.refresh_sent_mask(skb.get());
     sbf.enqueue(skb);
   }
 }
@@ -865,7 +861,6 @@ void MptcpConnection::abandon_subflow(int slot) {
     // wire is gone, and !SENT_ON reinjection filters must see the packets as
     // placeable on the survivor.
     skb->sent_mask &= ~(1u << static_cast<unsigned>(slot));
-    queues_.refresh_sent_mask(skb.get());
   }
   // Unlike a path death — where the stranded data is a *suspected loss* and
   // goes through RQ's reinjection-first rule — fallback re-owns the data at

@@ -23,10 +23,10 @@ const char* fault_kind_name(FaultKind kind) {
   return "?";
 }
 
-SkbPtr SchedulerContext::pop_at(QueueId id, std::size_t index) {
+SkbPtr SchedulerContext::pop(QueueId id) {
   // The bundle's get() is the single spelling of the QueueId -> queue
   // mapping; the queue itself clears the membership flag on removal.
-  SkbPtr skb = queues_->get(id).pop_at(index);
+  SkbPtr skb = queues_->get(id).pop_front();
   if (skb == nullptr) return nullptr;
   popped_ = true;
   pop_log_.push_back({id, skb});

@@ -226,13 +226,8 @@ class SchedulerContext {
     return queues_->get(id);
   }
 
-  /// Removes and returns the packet at `index` of the given queue (the
-  /// augmented queue allows POPs from the middle, §4.1). Returns nullptr if
-  /// out of range.
-  SkbPtr pop_at(QueueId id, std::size_t index);
-
   /// POP of the queue front; nullptr when empty.
-  SkbPtr pop(QueueId id) { return pop_at(id, 0); }
+  SkbPtr pop(QueueId id);
 
   // ---- Actions ------------------------------------------------------------
   /// Defers a PUSH of `skb` onto the subflow in `slot`. NULL skb or invalid

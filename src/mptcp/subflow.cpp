@@ -56,7 +56,7 @@ void SubflowSender::pump() {
         // headroom indefinitely (see Host::on_window_blocked).
         std::vector<SkbPtr> blocked;
         blocked.reserve(queue_.size());
-        for (const PacketQueue::Entry& e : queue_) blocked.push_back(e.skb);
+        for (const SkbPtr& skb : queue_) blocked.push_back(skb);
         queue_.clear();
         host_.on_window_blocked(slot_, std::move(blocked));
       }
@@ -342,7 +342,7 @@ std::vector<SkbPtr> SubflowSender::harvest_and_clear() {
     if (skb == nullptr || skb->acked || skb->dropped) return;
     if (seen.insert(skb.get()).second) orphans.push_back(skb);
   };
-  for (const PacketQueue::Entry& e : queue_) collect(e.skb);
+  for (const SkbPtr& skb : queue_) collect(skb);
   for (const TxSeg& seg : inflight_) collect(seg.skb);
   queue_.clear();
   inflight_.clear();

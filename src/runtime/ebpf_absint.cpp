@@ -280,14 +280,25 @@ bool refine(Interval& l, Interval& r, Rel rel) {
   return !l.empty() && !r.empty();
 }
 
+/// Binary ALU ops and conditional jumps whose second operand is the src
+/// register rather than the immediate.
+bool is_reg_form(Op op) {
+  switch (op) {
+    case Op::kAddReg: case Op::kSubReg: case Op::kMulReg: case Op::kDivReg:
+    case Op::kModReg: case Op::kJeqReg: case Op::kJneReg: case Op::kJsgtReg:
+    case Op::kJsgeReg: case Op::kJsltReg: case Op::kJsleReg:
+      return true;
+    default:
+      return false;
+  }
+}
+
 /// Applies the branch condition of `insn` to `st` (taken or fall-through
 /// side). Returns false when the edge is infeasible.
 bool refine_edge(State& st, const Insn& insn, bool taken) {
   const Rel rel = taken ? taken_rel(insn.op) : negate(taken_rel(insn.op));
   AbsVal& dst = st.regs[insn.dst];
-  const bool reg_form = insn.op == Op::kJeqReg || insn.op == Op::kJneReg ||
-                        insn.op == Op::kJsgtReg || insn.op == Op::kJsgeReg ||
-                        insn.op == Op::kJsltReg || insn.op == Op::kJsleReg;
+  const bool reg_form = is_reg_form(insn.op);
   Interval rhs = reg_form ? st.regs[insn.src].iv : Interval::of(insn.imm);
   Interval lhs = dst.iv;
   if (!refine(lhs, rhs, rel)) return false;
@@ -304,7 +315,10 @@ bool refine_edge(State& st, const Insn& insn, bool taken) {
 
 struct DiagSinkFn {
   virtual ~DiagSinkFn() = default;
-  virtual void emit(std::size_t pc, std::string message) = 0;
+  /// `with_path`: the finding gets an entry-to-`pc` path once the reporting
+  /// walk has established reachability.
+  virtual void emit(std::size_t pc, std::string message,
+                    bool with_path = false) = 0;
 };
 
 bool is_alu(Op op) {
@@ -315,6 +329,37 @@ bool is_alu(Op op) {
       return true;
     default:
       return false;
+  }
+}
+
+/// Flags every register `insn` reads that may be uninitialized on some
+/// feasible path to `pc` (only during the final reporting walk). CALL
+/// arguments are checked per helper by check_call; the LDX/STX base is r10,
+/// which is never written.
+void check_reads(std::size_t pc, const Insn& insn, const State& st,
+                 DiagSinkFn& sink) {
+  std::uint32_t reads = 0;
+  switch (insn.op) {
+    case Op::kMovImm: case Op::kJa: case Op::kCall: case Op::kLdxDw:
+      break;
+    case Op::kMovReg: case Op::kStxDw:
+      reads = 1u << insn.src;
+      break;
+    case Op::kExit:
+      reads = 1u;  // r0, the return value
+      break;
+    default:  // ALU ops and conditional jumps
+      reads = 1u << insn.dst;
+      if (is_reg_form(insn.op)) reads |= 1u << insn.src;
+      break;
+  }
+  for (int r = 0; r < kNumRegs; ++r) {
+    if ((reads & (1u << r)) != 0 && st.regs[r].is_uninit_path()) {
+      sink.emit(pc,
+                "register r" + std::to_string(r) +
+                    " may be read before initialization",
+                /*with_path=*/true);
+    }
   }
 }
 
@@ -449,10 +494,7 @@ void transfer(State& st, std::size_t pc, const Insn& insn,
   };
   AbsVal& dst = st.regs[insn.dst];
   const AbsVal& src = st.regs[insn.src];
-  const bool reg_form =
-      insn.op == Op::kAddReg || insn.op == Op::kSubReg ||
-      insn.op == Op::kMulReg || insn.op == Op::kDivReg ||
-      insn.op == Op::kModReg;
+  const bool reg_form = is_reg_form(insn.op);
   const Interval rhs = reg_form ? src.iv : Interval::of(insn.imm);
 
   switch (insn.op) {
@@ -502,9 +544,11 @@ void transfer(State& st, std::size_t pc, const Insn& insn,
     case Op::kLdxDw: {
       const AbsVal& slot = st.slots[slot_index(insn.off)];
       if (sink != nullptr && slot.is_uninit_path()) {
-        sink->emit(pc, "stack slot [r10" + std::to_string(insn.off) +
-                           "] may be read before initialization (stale "
-                           "bytes from an earlier execution)");
+        sink->emit(pc,
+                   "stack slot [r10" + std::to_string(insn.off) +
+                       "] may be read before initialization (stale bytes "
+                       "from an earlier execution)",
+                   /*with_path=*/true);
       }
       dst = slot;
       if (dst.kind == ValKind::kUninit) dst = AbsVal::scalar(Interval::top());
@@ -708,8 +752,11 @@ AbsintResult absint_check(const Code& code, const AbsintOptions& options) {
     State cur = *states[head];
     std::size_t pc = head;
     for (;;) {
-      if (sink != nullptr) reachable[pc] = true;
       const Insn& insn = code[pc];
+      if (sink != nullptr) {
+        reachable[pc] = true;
+        check_reads(pc, insn, cur, *sink);
+      }
       if (insn.op == Op::kExit) {
         transfer(cur, pc, insn, options, sink);
         return;
@@ -767,8 +814,11 @@ AbsintResult absint_check(const Code& code, const AbsintOptions& options) {
   struct CollectSink final : DiagSinkFn {
     std::set<std::pair<std::size_t, std::string>>* seen;
     std::vector<AbsintDiag>* out;
-    void emit(std::size_t pc, std::string message) override {
+    std::vector<std::size_t> needs_path;  ///< indices into *out
+    void emit(std::size_t pc, std::string message,
+              bool with_path = false) override {
       if (!seen->insert({pc, message}).second) return;
+      if (with_path) needs_path.push_back(out->size());
       out->push_back({pc, std::move(message), {}});
     }
   };
@@ -817,6 +867,9 @@ AbsintResult absint_check(const Code& code, const AbsintOptions& options) {
     std::reverse(path.begin(), path.end());
     return path;
   };
+  for (const std::size_t i : sink.needs_path) {
+    result.diags[i].path = path_to(result.diags[i].pc);
+  }
 
   // ---- Loops: reachable back edges, nesting, trip bounds ---------------------
   std::vector<Loop> loops;
@@ -929,11 +982,8 @@ AbsintResult absint_check(const Code& code, const AbsintOptions& options) {
     guard_eval.run(code, loop.head, guard);
     const Insn& g = code[guard];
     const Sym lhs = guard_eval.regs[g.dst];
-    const bool reg_form = g.op == Op::kJeqReg || g.op == Op::kJneReg ||
-                          g.op == Op::kJsgtReg || g.op == Op::kJsgeReg ||
-                          g.op == Op::kJsltReg || g.op == Op::kJsleReg;
     const Sym rhs =
-        reg_form ? guard_eval.regs[g.src] : Sym::constant(g.imm);
+        is_reg_form(g.op) ? guard_eval.regs[g.src] : Sym::constant(g.imm);
 
     Rel exit_rel = taken_exits ? taken_rel(g.op) : negate(taken_rel(g.op));
     // Normalize to counter-on-the-left.

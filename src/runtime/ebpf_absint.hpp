@@ -1,4 +1,5 @@
-// Abstract interpretation over the eBPF CFG (verifier pass 2).
+// Abstract interpretation over the eBPF CFG: the verifier's semantic pass,
+// run after its structural checks.
 //
 // The shape follows the PREVAIL/ebpf-verifier line of work: a small abstract
 // domain per register and per 8-byte stack slot, a fixpoint over basic
@@ -13,10 +14,13 @@
 //     prove helper arguments in bounds: queue ids in [0, 2] (QueueBundle has
 //     no mapping outside it), property selectors inside their enums,
 //     register indices inside the R1..R99 file;
-//   * definite-initialization per stack slot — the VM zeroes its stack once
-//     per VM, not per run, so a slot read before a write in the same
-//     execution observes stale bytes from an earlier run (potentially of
-//     another connection sharing the program): rejected at load.
+//   * definite initialization per register and per stack slot, on every
+//     feasible path: a register read before it is written (r1-r5 count as
+//     unwritten after a call) is rejected, and so is a stack slot read —
+//     the VM zeroes its stack once per VM, not per run, so a slot read
+//     before a write in the same execution observes stale bytes from an
+//     earlier run (potentially of another connection sharing the program).
+//     Both findings carry an entry-to-read path.
 //
 // On top of the converged fixpoint, every *reachable back edge* must belong
 // to a loop whose trip count the pass can bound: the loop-head guard is

@@ -1,88 +1,11 @@
 #include "runtime/ebpf_verifier.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <utility>
 #include <vector>
 
 namespace progmp::rt::ebpf {
 namespace {
-
-/// Which registers an instruction reads / writes.
-struct Access {
-  std::uint32_t reads = 0;
-  std::uint32_t writes = 0;
-};
-
-Access access_of(const Insn& insn) {
-  Access a;
-  auto read = [&](int r) { a.reads |= 1u << r; };
-  auto write = [&](int r) { a.writes |= 1u << r; };
-  switch (insn.op) {
-    case Op::kAddReg:
-    case Op::kSubReg:
-    case Op::kMulReg:
-    case Op::kDivReg:
-    case Op::kModReg:
-      read(insn.dst);
-      read(insn.src);
-      write(insn.dst);
-      break;
-    case Op::kAddImm:
-    case Op::kSubImm:
-    case Op::kMulImm:
-    case Op::kDivImm:
-    case Op::kModImm:
-    case Op::kNeg:
-      read(insn.dst);
-      write(insn.dst);
-      break;
-    case Op::kMovReg:
-      read(insn.src);
-      write(insn.dst);
-      break;
-    case Op::kMovImm:
-      write(insn.dst);
-      break;
-    case Op::kJa:
-      break;
-    case Op::kJeqReg:
-    case Op::kJneReg:
-    case Op::kJsgtReg:
-    case Op::kJsgeReg:
-    case Op::kJsltReg:
-    case Op::kJsleReg:
-      read(insn.dst);
-      read(insn.src);
-      break;
-    case Op::kJeqImm:
-    case Op::kJneImm:
-    case Op::kJsgtImm:
-    case Op::kJsgeImm:
-    case Op::kJsltImm:
-    case Op::kJsleImm:
-      read(insn.dst);
-      break;
-    case Op::kCall:
-      // Helpers read r1..r3 (we do not model per-helper arity here — the
-      // absint pass checks the arguments each helper actually consumes).
-      write(0);  // result
-      // r1-r5 become scrambled (treated as written below in transfer()).
-      break;
-    case Op::kExit:
-      read(0);
-      break;
-    case Op::kLdxDw:
-      read(insn.src);
-      write(insn.dst);
-      break;
-    case Op::kStxDw:
-      read(insn.dst);
-      read(insn.src);
-      break;
-  }
-  return a;
-}
 
 std::string render_path(const std::vector<std::size_t>& path) {
   std::string s = " (path:";
@@ -108,9 +31,8 @@ std::string VerifyDiag::str() const {
 
 VerifyResult verify(const Code& code, const VerifyOptions& options) {
   VerifyResult result;
-  auto add = [&](std::size_t pc, std::string msg,
-                 std::vector<std::size_t> path = {}) {
-    result.diags.push_back({pc, std::move(msg), std::move(path)});
+  auto add = [&](std::size_t pc, std::string msg) {
+    result.diags.push_back({pc, std::move(msg), {}});
   };
 
   if (code.empty()) {
@@ -123,48 +45,43 @@ VerifyResult verify(const Code& code, const VerifyOptions& options) {
   // Hostile bytecode arrives as raw bytes: the opcode byte must name an
   // instruction before anything (including the VM dispatch table, which is
   // indexed by it) may interpret the rest of the slot.
-  bool structurally_sound = result.diags.empty();
   for (std::size_t pc = 0; pc < code.size(); ++pc) {
     const Insn& insn = code[pc];
     if (static_cast<std::uint8_t>(insn.op) >
         static_cast<std::uint8_t>(Op::kStxDw)) {
       add(pc, "invalid opcode");
-      structurally_sound = false;
       continue;
     }
-    bool sound = true;
-    auto flag = [&](std::string msg) {
-      add(pc, std::move(msg));
-      sound = false;
-    };
     if (insn.dst >= kNumRegs || insn.src >= kNumRegs) {
-      flag("invalid register");
+      add(pc, "invalid register");
     }
-    if (sound && (access_of(insn).writes & (1u << kFp))) {
-      flag("write to frame pointer r10");
+    // Every non-jump instruction except CALL, EXIT and STX writes dst.
+    const bool writes_dst = !is_jump(insn.op) && insn.op != Op::kCall &&
+                            insn.op != Op::kExit && insn.op != Op::kStxDw;
+    if (writes_dst && insn.dst == kFp) {
+      add(pc, "write to frame pointer r10");
     }
     if (is_jump(insn.op)) {
       const std::int64_t target =
           static_cast<std::int64_t>(pc) + 1 + insn.off;
       if (target < 0 || target >= static_cast<std::int64_t>(code.size())) {
-        flag("jump out of bounds");
+        add(pc, "jump out of bounds");
       }
     }
     if (insn.op == Op::kCall) {
       if (insn.imm < 1 || insn.imm > kMaxHelperId) {
-        flag("unknown helper id");
+        add(pc, "unknown helper id");
       }
     }
     if (insn.op == Op::kLdxDw || insn.op == Op::kStxDw) {
       const int base = insn.op == Op::kLdxDw ? insn.src : insn.dst;
       if (base != kFp) {
-        flag("memory access must be r10-based");
+        add(pc, "memory access must be r10-based");
       }
       if (insn.off > -8 || insn.off < -kStackBytes || (insn.off % 8) != 0) {
-        flag("stack access out of bounds or unaligned");
+        add(pc, "stack access out of bounds or unaligned");
       }
     }
-    structurally_sound = structurally_sound && sound;
   }
   // Fall-through off the end is a verifier error: the last reachable
   // instruction of every path must be EXIT or a backward jump; the cheap
@@ -172,126 +89,16 @@ VerifyResult verify(const Code& code, const VerifyOptions& options) {
   if (!code.empty() && code.back().op != Op::kExit &&
       code.back().op != Op::kJa) {
     add(code.size() - 1, "program may fall through past the last instruction");
-    structurally_sound = false;
   }
 
-  // The remaining passes interpret operands (register shifts, jump targets,
-  // dispatch on opcodes) and require a structurally sound program.
-  if (structurally_sound) {
-    // ---- Init-before-read dataflow ---------------------------------------------
-    // in[pc] = set of definitely-initialized registers; meet = intersection.
-    constexpr std::uint32_t kTop = 0xffffffffu;
-    std::vector<std::uint32_t> in(code.size(), kTop);
-    in[0] = (1u << kFp);  // only the frame pointer is live at entry
-    std::deque<std::size_t> work{0};
-    std::vector<bool> reachable(code.size(), false);
-
-    auto transfer = [&](std::size_t pc, std::uint32_t state) -> std::uint32_t {
-      const Insn& insn = code[pc];
-      const Access acc = access_of(insn);
-      std::uint32_t out = state | acc.writes;
-      if (insn.op == Op::kCall) {
-        // r1-r5 are clobbered with unspecified values: treat as
-        // uninitialized afterwards so programs cannot rely on them
-        // surviving.
-        out &= ~0b111110u;
-        out |= 1u;  // r0 = result
-      }
-      return out;
-    };
-
-    while (!work.empty()) {
-      const std::size_t pc = work.front();
-      work.pop_front();
-      reachable[pc] = true;
-      const Insn& insn = code[pc];
-      if (insn.op == Op::kExit) continue;
-
-      const std::uint32_t out = transfer(pc, in[pc]);
-      auto propagate = [&](std::size_t succ) {
-        const std::uint32_t merged = in[succ] & out;
-        if (merged != in[succ] || !reachable[succ]) {
-          in[succ] = merged;
-          work.push_back(succ);
-        }
-      };
-      if (insn.op == Op::kJa) {
-        propagate(pc + 1 + static_cast<std::size_t>(insn.off));
-      } else if (is_jump(insn.op)) {
-        propagate(static_cast<std::size_t>(
-            static_cast<std::int64_t>(pc) + 1 + insn.off));
-        propagate(pc + 1);
-      } else {
-        propagate(pc + 1);
-      }
+  // Absint interprets operands (register indices, jump targets, dispatch on
+  // opcodes) and requires a structurally sound program: no finding so far.
+  if (result.diags.empty() && options.absint) {
+    AbsintResult abs = absint_check(code, options.absint_options);
+    for (AbsintDiag& d : abs.diags) {
+      result.diags.push_back({d.pc, std::move(d.message), std::move(d.path)});
     }
-
-    // Entry-to-violation paths for the report: BFS parents over the
-    // reachable CFG.
-    std::vector<std::int64_t> parent(code.size(), -1);
-    {
-      std::deque<std::size_t> q{0};
-      std::vector<bool> visited(code.size(), false);
-      visited[0] = true;
-      while (!q.empty()) {
-        const std::size_t pc = q.front();
-        q.pop_front();
-        const Insn& insn = code[pc];
-        auto visit = [&](std::size_t succ) {
-          if (succ >= code.size() || visited[succ] || !reachable[succ]) {
-            return;
-          }
-          visited[succ] = true;
-          parent[succ] = static_cast<std::int64_t>(pc);
-          q.push_back(succ);
-        };
-        if (insn.op == Op::kExit) continue;
-        if (is_jump(insn.op)) {
-          visit(static_cast<std::size_t>(static_cast<std::int64_t>(pc) + 1 +
-                                         insn.off));
-          if (insn.op != Op::kJa) visit(pc + 1);
-        } else {
-          visit(pc + 1);
-        }
-      }
-    }
-    auto path_to = [&](std::size_t pc) {
-      std::vector<std::size_t> path;
-      std::int64_t at = static_cast<std::int64_t>(pc);
-      while (at >= 0 && path.size() <= code.size()) {
-        path.push_back(static_cast<std::size_t>(at));
-        at = parent[static_cast<std::size_t>(at)];
-      }
-      std::reverse(path.begin(), path.end());
-      return path;
-    };
-
-    // Report after convergence so every read is judged against its final
-    // (smallest) in-set exactly once.
-    for (std::size_t pc = 0; pc < code.size(); ++pc) {
-      if (!reachable[pc]) continue;
-      const std::uint32_t uninit = access_of(code[pc]).reads & ~in[pc];
-      if (uninit == 0) continue;
-      for (int r = 0; r < kNumRegs; ++r) {
-        if (uninit & (1u << r)) {
-          add(pc,
-              "register r" + std::to_string(r) +
-                  " may be read before initialization",
-              path_to(pc));
-        }
-      }
-    }
-
-    // ---- Abstract interpretation (pass 2) --------------------------------------
-    if (options.absint) {
-      AbsintResult abs = absint_check(code, options.absint_options);
-      for (AbsintDiag& d : abs.diags) {
-        result.diags.push_back({d.pc, std::move(d.message), std::move(d.path)});
-      }
-      if (abs.ok && result.diags.empty()) {
-        result.derived_insn_bound = abs.derived_insn_bound;
-      }
-    }
+    if (abs.ok) result.derived_insn_bound = abs.derived_insn_bound;
   }
 
   result.ok = result.diags.empty();

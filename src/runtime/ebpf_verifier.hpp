@@ -2,31 +2,29 @@
 //
 // Mirrors the role of the kernel verifier: programs loaded from userspace
 // must be provably safe before they run next to the transport stack. Two
-// passes:
+// stages:
 //
-//  1. Structural + init-before-read (this file):
+//  1. Structural checks (this file):
 //     * all jump targets land on instructions of the program,
 //     * opcodes and register numbers are valid; r10 (frame pointer) is
 //       never written,
 //     * memory accesses use r10 as base, stay inside the stack and are
 //       8-byte aligned,
 //     * helper ids are known,
-//     * no register is read before it was written on *every* path (dataflow
-//       fixpoint over the CFG; r10 starts initialized, r1-r5 are clobbered
-//       by calls, r0 is defined by calls),
-//     * the program terminates with EXIT on every fall-through path.
+//     * the program ends in EXIT or JA, so no path falls off the end.
 //
-//  2. Abstract interpretation (runtime/ebpf_absint.hpp): an interval/type
-//     domain per register and stack slot proves helper arguments in bounds
-//     (queue ids, prop ids, register indices, handle typing), rejects
-//     frame-pointer leaks and uninitialized stack reads, bounds every
-//     back edge with a derived trip count, and checks the resulting
+//  2. Abstract interpretation (runtime/ebpf_absint.hpp), the only semantic
+//     pass: an interval/type domain per register and stack slot proves
+//     every register and stack slot written before it is read on every
+//     feasible path, helper arguments in bounds (queue ids, prop ids,
+//     register indices, handle typing), rejects frame-pointer leaks, bounds
+//     every back edge with a derived trip count, and checks the resulting
 //     worst-case instruction count against the load-time exec budget —
 //     hostile unbounded loops are rejected with a counterexample path
 //     instead of relying on the runtime budget.
 //
 // Unlike the kernel, backward jumps are legal (ProgMP allows FOREACH loops,
-// §6) — pass 2 bounds them at load time, and the VM keeps its instruction
+// §6) — absint bounds them at load time, and the VM keeps its instruction
 // budget as defense in depth.
 //
 // All violations are reported, each with its instruction index (and, for
@@ -55,8 +53,9 @@ struct VerifyDiag {
 };
 
 struct VerifyOptions {
-  /// Run the abstract-interpretation pass (pass 2). Structural checks
-  /// always run.
+  /// Run the abstract-interpretation pass. Structural checks always run;
+  /// with `absint = false` they are the only checks — no initialization,
+  /// helper-argument or loop-bound proof.
   bool absint = true;
   AbsintOptions absint_options;
 };

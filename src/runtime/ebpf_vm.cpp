@@ -66,9 +66,8 @@ std::int64_t Vm::dispatch_helper(Helper helper, SchedulerEnv& env) {
   return 0;
 }
 
-// Direct-threaded dispatch on GCC/Clang (computed goto); portable switch
-// otherwise. The two bodies share the per-instruction actions through the
-// PROGMP_VM_OP macro so they cannot drift apart.
+// Direct-threaded dispatch (computed goto, a GCC/Clang extension — the only
+// compilers that build this tree, see the __int128 in core/time.hpp).
 Vm::RunResult Vm::run(const Code& code, SchedulerEnv& env,
                       std::int64_t budget) {
   RunResult result;
@@ -118,7 +117,6 @@ Vm::RunResult Vm::run(const Code& code, SchedulerEnv& env,
     }                                                                      \
   } while (0)
 
-#if defined(__GNUC__)
   // Table order must match the Op enum declaration exactly.
   static const void* kDispatch[] = {
       &&op_AddReg, &&op_AddImm, &&op_SubReg, &&op_SubImm, &&op_MulReg,
@@ -225,84 +223,6 @@ Vm::RunResult Vm::run(const Code& code, SchedulerEnv& env,
 #undef PROGMP_VM_NEXT
 #undef PROGMP_VM_CASE
 #undef PROGMP_VM_BODY
-
-#else  // portable switch dispatch
-  for (;;) {
-    PROGMP_VM_FETCH();
-    const Insn& insn = insns[pc];
-    std::int64_t& dst = regs_[insn.dst];
-    const std::int64_t src = regs_[insn.src];
-    switch (insn.op) {
-      case Op::kAddReg: dst += src; ++pc; break;
-      case Op::kAddImm: dst += insn.imm; ++pc; break;
-      case Op::kSubReg: dst -= src; ++pc; break;
-      case Op::kSubImm: dst -= insn.imm; ++pc; break;
-      case Op::kMulReg: dst *= src; ++pc; break;
-      case Op::kMulImm: dst *= insn.imm; ++pc; break;
-      case Op::kDivReg: dst = src == 0 ? 0 : dst / src; ++pc; break;
-      case Op::kDivImm: dst = insn.imm == 0 ? 0 : dst / insn.imm; ++pc; break;
-      case Op::kModReg: dst = src == 0 ? 0 : dst % src; ++pc; break;
-      case Op::kModImm: dst = insn.imm == 0 ? 0 : dst % insn.imm; ++pc; break;
-      case Op::kMovReg: dst = src; ++pc; break;
-      case Op::kMovImm: dst = insn.imm; ++pc; break;
-      case Op::kNeg: dst = -dst; ++pc; break;
-      case Op::kJa:
-        pc = static_cast<std::size_t>(static_cast<std::int64_t>(pc) + 1 +
-                                      insn.off);
-        break;
-      case Op::kJeqReg: PROGMP_VM_JUMP_IF(dst == src); break;
-      case Op::kJeqImm: PROGMP_VM_JUMP_IF(dst == insn.imm); break;
-      case Op::kJneReg: PROGMP_VM_JUMP_IF(dst != src); break;
-      case Op::kJneImm: PROGMP_VM_JUMP_IF(dst != insn.imm); break;
-      case Op::kJsgtReg: PROGMP_VM_JUMP_IF(dst > src); break;
-      case Op::kJsgtImm: PROGMP_VM_JUMP_IF(dst > insn.imm); break;
-      case Op::kJsgeReg: PROGMP_VM_JUMP_IF(dst >= src); break;
-      case Op::kJsgeImm: PROGMP_VM_JUMP_IF(dst >= insn.imm); break;
-      case Op::kJsltReg: PROGMP_VM_JUMP_IF(dst < src); break;
-      case Op::kJsltImm: PROGMP_VM_JUMP_IF(dst < insn.imm); break;
-      case Op::kJsleReg: PROGMP_VM_JUMP_IF(dst <= src); break;
-      case Op::kJsleImm: PROGMP_VM_JUMP_IF(dst <= insn.imm); break;
-      case Op::kCall:
-        regs_[0] = dispatch_helper(static_cast<Helper>(insn.imm), env);
-        if (helper_fault_) {
-          result.fault = mptcp::FaultKind::kHelperViolation;
-          result.error = "helper argument out of bounds";
-          return result;
-        }
-        regs_[1] = regs_[2] = regs_[3] = regs_[4] = regs_[5] = kPoison;
-        ++pc;
-        break;
-      case Op::kExit:
-        result.ok = true;
-        return result;
-      case Op::kLdxDw: {
-        bool ok = false;
-        std::uint8_t* slot = stack_slot(insn.off, &ok);
-        if (!ok) {
-          result.fault = mptcp::FaultKind::kStackViolation;
-          result.error = "stack load out of bounds";
-          return result;
-        }
-        std::memcpy(&dst, slot, 8);
-        ++pc;
-        break;
-      }
-      case Op::kStxDw: {
-        bool ok = false;
-        std::uint8_t* slot = stack_slot(insn.off, &ok);
-        if (!ok) {
-          result.fault = mptcp::FaultKind::kStackViolation;
-          result.error = "stack store out of bounds";
-          return result;
-        }
-        std::memcpy(slot, &src, 8);
-        ++pc;
-        break;
-      }
-    }
-  }
-#endif
-
 #undef PROGMP_VM_FETCH
 #undef PROGMP_VM_JUMP_IF
 }

@@ -58,7 +58,7 @@ std::int64_t SchedulerEnv::sbf_prop(std::int64_t idx,
 PktHandle SchedulerEnv::queue_nth(mptcp::QueueId id, std::int64_t idx) {
   const auto& queue = ctx_.queue(id);
   if (idx < 0 || idx >= static_cast<std::int64_t>(queue.size())) return 0;
-  return pin(queue.skb_at(static_cast<std::size_t>(idx)));
+  return pin(queue.at(static_cast<std::size_t>(idx)));
 }
 
 PktHandle SchedulerEnv::pop_front(mptcp::QueueId id) {

@@ -82,13 +82,11 @@ class NativeRedundant final : public Scheduler {
     for (const SubflowInfo& s : ctx.subflows()) {
       if (!available(s)) continue;
       // Oldest in-flight packet this subflow has not carried yet; fresh
-      // data once it has seen the whole flight. The live skb mask decides,
-      // not the entry's cached summary: callers outside the engine (tests,
-      // direct mark_sent_on) mutate skbs without a refresh.
+      // data once it has seen the whole flight.
       SkbPtr skb;
-      for (const mptcp::PacketQueue::Entry& e : ctx.queue(QueueId::kQu)) {
-        if (!e.skb->sent_on(s.slot)) {
-          skb = e.skb;
+      for (const SkbPtr& inflight : ctx.queue(QueueId::kQu)) {
+        if (!inflight->sent_on(s.slot)) {
+          skb = inflight;
           break;
         }
       }

@@ -117,6 +117,29 @@ TEST(ApiTest, ProcStatsRendersState) {
   EXPECT_NE(stats.find("queue seq: Q=["), std::string::npos);
 }
 
+TEST(ApiTest, ProcStatsSummarizesQueuedPackets) {
+  // Mid-transfer, Q and QU both hold packets; each of the two flow-end
+  // bursts marks its last packet.
+  sim::Simulator sim;
+  mptcp::MptcpConnection conn(sim, apps::lossy_config(0.0), Rng(11));
+  ProgmpApi api;
+  ASSERT_TRUE(api.load_builtin("minrtt"));
+  ASSERT_TRUE(api.set_scheduler(conn, "minrtt"));
+  mptcp::SkbProps props;
+  props.flow_end = true;
+  conn.write(300 * 1400, props);
+  conn.write(40 * 1400, props);
+  sim.run_until(milliseconds(30));
+  const std::string stats = ProgmpApi::proc_stats(conn);
+  EXPECT_NE(stats.find("queue bytes: Q=392000 QU=56000 RQ=0\n"),
+            std::string::npos)
+      << stats;
+  EXPECT_NE(stats.find("queue seq: Q=[60..339] QU=[20..59] qu_sent=40 "
+                       "flow_end=2\n"),
+            std::string::npos)
+      << stats;
+}
+
 TEST(ApiTest, ProcDumpMirrorsSchedulerStatsAndMetrics) {
   sim::Simulator sim;
   mptcp::MptcpConnection::Config cfg = apps::lossy_config(0.0);

@@ -1,8 +1,8 @@
 // Property test for the flat PacketQueue against a std::deque reference
-// model: randomized push/pop/erase/cursor sequences must leave the queue
-// holding exactly the reference's packets in the reference's order, with
-// every cached aggregate equal to a from-scratch recompute and the
-// intrusive membership index round-tripping (tracked mode).
+// model: randomized push/pop/erase sequences must leave the queue holding
+// exactly the reference's packets in the reference's order, with the cached
+// byte total equal to a from-scratch recompute and the intrusive membership
+// index round-tripping (tracked mode).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,51 +16,27 @@
 namespace progmp::mptcp {
 namespace {
 
-SkbPtr make_skb(std::uint64_t seq, std::int32_t size, bool flow_end = false,
-                std::uint32_t sent_mask = 0) {
+SkbPtr make_skb(std::uint64_t seq, std::int32_t size) {
   auto skb = std::make_shared<Skb>();
   skb->meta_seq = seq;
   skb->size = size;
-  skb->props.flow_end = flow_end;
-  skb->sent_mask = sent_mask;
   return skb;
 }
 
-/// Asserts queue == reference in order and content, and that every cached
-/// aggregate matches a recompute over the reference model.
+/// Asserts queue == reference in order, and that the cached byte total
+/// matches a recompute over the reference model.
 void expect_matches(const PacketQueue& queue,
                     const std::deque<SkbPtr>& reference, bool tracked) {
   ASSERT_EQ(queue.size(), reference.size());
   ASSERT_EQ(queue.empty(), reference.empty());
 
   std::int64_t bytes = 0;
-  std::int64_t flow_ends = 0;
-  std::int64_t sent = 0;
-  std::uint64_t mn = 0;
-  std::uint64_t mx = 0;
   for (std::size_t i = 0; i < reference.size(); ++i) {
-    const SkbPtr& want = reference[i];
-    const PacketQueue::Entry& got = queue.at(i);
-    ASSERT_EQ(got.skb.get(), want.get()) << "order diverges at index " << i;
-    EXPECT_EQ(got.meta_seq, want->meta_seq);
-    EXPECT_EQ(got.size, want->size);
-    EXPECT_EQ(got.flow_end, want->props.flow_end);
-    EXPECT_EQ(got.sent_mask, want->sent_mask);
-    bytes += want->size;
-    if (want->props.flow_end) ++flow_ends;
-    if (want->sent_mask != 0) ++sent;
-    if (i == 0) {
-      mn = mx = want->meta_seq;
-    } else {
-      mn = std::min(mn, want->meta_seq);
-      mx = std::max(mx, want->meta_seq);
-    }
+    ASSERT_EQ(queue.at(i).get(), reference[i].get())
+        << "order diverges at index " << i;
+    bytes += reference[i]->size;
   }
   EXPECT_EQ(queue.bytes(), bytes);
-  EXPECT_EQ(queue.flow_end_count(), flow_ends);
-  EXPECT_EQ(queue.sent_count(), sent);
-  EXPECT_EQ(queue.min_meta_seq(), mn);
-  EXPECT_EQ(queue.max_meta_seq(), mx);
 
   // Membership: everything in the reference is a member; in tracked mode
   // the flag agrees with membership.
@@ -69,8 +45,8 @@ void expect_matches(const PacketQueue& queue,
     if (tracked) EXPECT_TRUE(skb->in_q);
   }
 
-  // The queue's own audit (mirror fields, index round-trip, aggregate
-  // recompute) must agree.
+  // The queue's own audit (index round-trip, byte-total recompute) must
+  // agree.
   const auto bad = queue.audit();
   EXPECT_FALSE(bad.has_value()) << *bad;
 }
@@ -78,7 +54,7 @@ void expect_matches(const PacketQueue& queue,
 TEST(PacketQueueTest, TrackedPushSetsFlagAndIndex) {
   PacketQueue queue(QueueId::kQ);
   auto a = make_skb(1, 100);
-  auto b = make_skb(2, 200, /*flow_end=*/true);
+  auto b = make_skb(2, 200);
   EXPECT_FALSE(a->in_q);
   queue.push_back(a);
   queue.push_front(b);
@@ -86,9 +62,6 @@ TEST(PacketQueueTest, TrackedPushSetsFlagAndIndex) {
   EXPECT_TRUE(b->in_q);
   EXPECT_EQ(queue.front().get(), b.get());
   EXPECT_EQ(queue.bytes(), 300);
-  EXPECT_EQ(queue.flow_end_count(), 1);
-  EXPECT_EQ(queue.min_meta_seq(), 1u);
-  EXPECT_EQ(queue.max_meta_seq(), 2u);
   EXPECT_TRUE(queue.contains(a.get()));
 
   SkbPtr popped = queue.pop_front();
@@ -127,46 +100,6 @@ TEST(PacketQueueTest, UntrackedModeAllowsDuplicates) {
   EXPECT_FALSE(queue.erase(skb.get()));
 }
 
-TEST(PacketQueueTest, RefreshSentMaskKeepsAggregateExact) {
-  PacketQueue queue(QueueId::kQu);
-  auto skb = make_skb(3, 100);
-  queue.push_back(skb);
-  EXPECT_EQ(queue.sent_count(), 0);
-  skb->mark_sent_on(1, TimeNs{10});
-  queue.refresh_sent_mask(skb.get());
-  EXPECT_EQ(queue.sent_count(), 1);
-  EXPECT_FALSE(queue.audit().has_value());
-  skb->sent_mask = 0;  // subflow death cleared the only bit
-  queue.refresh_sent_mask(skb.get());
-  EXPECT_EQ(queue.sent_count(), 0);
-  EXPECT_FALSE(queue.audit().has_value());
-}
-
-TEST(PacketQueueTest, CursorEraseKeepsSuccessor) {
-  PacketQueue queue(QueueId::kQ);
-  std::vector<SkbPtr> skbs;
-  for (int i = 0; i < 6; ++i) {
-    skbs.push_back(make_skb(static_cast<std::uint64_t>(i), 100));
-    queue.push_back(skbs.back());
-  }
-  // Remove every even meta_seq in one pass.
-  auto cursor = queue.cursor();
-  while (cursor.valid()) {
-    if (cursor.entry().meta_seq % 2 == 0) {
-      cursor.erase_here();
-    } else {
-      cursor.next();
-    }
-  }
-  ASSERT_EQ(queue.size(), 3u);
-  EXPECT_EQ(queue.at(0).meta_seq, 1u);
-  EXPECT_EQ(queue.at(1).meta_seq, 3u);
-  EXPECT_EQ(queue.at(2).meta_seq, 5u);
-  EXPECT_FALSE(skbs[0]->in_q);
-  EXPECT_TRUE(skbs[1]->in_q);
-  EXPECT_FALSE(queue.audit().has_value());
-}
-
 class PacketQueueProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 /// Randomized operation sequences against the std::deque reference model.
@@ -182,7 +115,7 @@ TEST_P(PacketQueueProperty, TrackedMatchesDequeReference) {
   std::vector<SkbPtr> outside;
 
   for (int step = 0; step < 4000; ++step) {
-    const std::int64_t op = rng.next_range(0, 9);
+    const std::int64_t op = rng.next_range(0, 7);
     if (op <= 2 || reference.empty()) {  // push_back (new or recycled)
       SkbPtr skb;
       if (!outside.empty() && rng.chance(0.5)) {
@@ -190,9 +123,7 @@ TEST_P(PacketQueueProperty, TrackedMatchesDequeReference) {
         outside.pop_back();
       } else {
         skb = make_skb(next_seq++,
-                       static_cast<std::int32_t>(rng.next_range(1, 1400)),
-                       rng.chance(0.1),
-                       static_cast<std::uint32_t>(rng.next_range(0, 3)));
+                       static_cast<std::int32_t>(rng.next_range(1, 1400)));
       }
       queue.push_back(skb);
       reference.push_back(skb);
@@ -225,26 +156,6 @@ TEST_P(PacketQueueProperty, TrackedMatchesDequeReference) {
       ASSERT_TRUE(queue.erase(reference[idx].get()));
       outside.push_back(reference[idx]);
       reference.erase(reference.begin() + static_cast<std::ptrdiff_t>(idx));
-    } else if (op == 7) {  // mutate a live sent_mask + refresh
-      const auto idx = static_cast<std::size_t>(rng.next_range(
-          0, static_cast<std::int64_t>(reference.size()) - 1));
-      reference[idx]->sent_mask =
-          static_cast<std::uint32_t>(rng.next_range(0, 7));
-      queue.refresh_sent_mask(reference[idx].get());
-    } else if (op == 8) {  // cursor scan-and-remove pass
-      const std::uint64_t keep_mod = 2 + rng.next_range(0, 2);
-      auto cursor = queue.cursor();
-      while (cursor.valid()) {
-        if (cursor.entry().meta_seq % keep_mod == 0) {
-          outside.push_back(cursor.entry().skb);
-          cursor.erase_here();
-        } else {
-          cursor.next();
-        }
-      }
-      std::erase_if(reference, [&](const SkbPtr& skb) {
-        return skb->meta_seq % keep_mod == 0;
-      });
     } else {  // occasional clear
       if (rng.chance(0.05)) {
         for (const SkbPtr& skb : reference) outside.push_back(skb);
@@ -271,8 +182,7 @@ TEST_P(PacketQueueProperty, UntrackedMatchesDequeReference) {
   std::vector<SkbPtr> pool;
   for (int i = 0; i < 32; ++i) {
     pool.push_back(make_skb(static_cast<std::uint64_t>(i),
-                            static_cast<std::int32_t>(rng.next_range(1, 1400)),
-                            rng.chance(0.2)));
+                            static_cast<std::int32_t>(rng.next_range(1, 1400))));
   }
 
   for (int step = 0; step < 4000; ++step) {

@@ -131,6 +131,8 @@ TEST(EbpfVerifierTest, RejectsReadBeforeInit) {
   const auto v = verify(code);
   EXPECT_FALSE(v.ok);
   EXPECT_NE(v.error.find("before initialization"), std::string::npos);
+  ASSERT_FALSE(v.diags.empty());
+  EXPECT_FALSE(v.diags.front().path.empty()) << v.error;
 }
 
 TEST(EbpfVerifierTest, RejectsUseOfClobberedArgAfterCall) {
@@ -145,9 +147,9 @@ TEST(EbpfVerifierTest, RejectsUseOfClobberedArgAfterCall) {
 
 TEST(EbpfVerifierTest, InitMergesAtJoins) {
   // r6 is initialized on only one path into the join; reading it after the
-  // join must be rejected.
+  // join must be rejected. r0 is the subflow count, so both paths are live.
   Code code = {
-      {Op::kMovImm, 0, 0, 0, 1},
+      {Op::kCall, 0, 0, 0, static_cast<std::int64_t>(Helper::kSbfCount)},
       {Op::kJeqImm, 0, 0, 1, 0},     // if r0 == 0 skip next
       {Op::kMovImm, 6, 0, 0, 7},     // init r6 (one path only)
       {Op::kMovReg, 0, 6, 0, 0},     // join: read r6
@@ -155,6 +157,31 @@ TEST(EbpfVerifierTest, InitMergesAtJoins) {
   };
   const auto v = verify(code);
   EXPECT_FALSE(v.ok);
+  ASSERT_FALSE(v.diags.empty());
+  EXPECT_EQ(v.diags.front().str(),
+            "insn 3: register r6 may be read before initialization "
+            "(path: 0 -> 1 -> 3)");
+}
+
+TEST(EbpfVerifierTest, AcceptsUninitializedReadOnProvablyDeadEdge) {
+  // r0 is the constant 1, so the skip edge is infeasible: r6 is written on
+  // every path that executes, and the verifier reasons per feasible path.
+  Code code = {
+      {Op::kMovImm, 0, 0, 0, 1},
+      {Op::kJeqImm, 0, 0, 1, 0},     // if r0 == 0 skip next (never taken)
+      {Op::kMovImm, 6, 0, 0, 7},
+      {Op::kMovReg, 0, 6, 0, 0},
+      {Op::kExit},
+  };
+  const auto v = verify(code);
+  ASSERT_TRUE(v.ok) << v.error;
+  FakeEnv env;
+  auto ctx = env.ctx();
+  SchedulerEnv senv(ctx);
+  Vm vm;
+  const auto run = vm.run(code, senv);
+  ASSERT_TRUE(run.ok) << run.error;
+  EXPECT_LE(run.insns_executed, v.derived_insn_bound);
 }
 
 TEST(EbpfVerifierTest, RejectsFallThroughEnd) {

@@ -86,9 +86,9 @@ Outcome run_backend(std::string_view spec, Backend backend,
   program->schedule(ctx);
   outcome.actions = test::action_string(ctx);
   outcome.registers = env.registers;
-  for (const auto& e : env.q) outcome.q.push_back(e.meta_seq);
-  for (const auto& e : env.qu) outcome.qu.push_back(e.meta_seq);
-  for (const auto& e : env.rq) outcome.rq.push_back(e.meta_seq);
+  for (const auto& skb : env.q) outcome.q.push_back(skb->meta_seq);
+  for (const auto& skb : env.qu) outcome.qu.push_back(skb->meta_seq);
+  for (const auto& skb : env.rq) outcome.rq.push_back(skb->meta_seq);
   outcome.pops = env.stats.pops;
   outcome.drops = env.stats.drops;
   return outcome;

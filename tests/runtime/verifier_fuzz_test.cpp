@@ -1,7 +1,7 @@
 // Verifier differential/fuzz harness.
 //
-// The contract under test is the containment guarantee of the two-pass
-// verifier (structural checks + abstract interpretation): a program the
+// The contract under test is the containment guarantee of the verifier
+// (structural checks, then abstract interpretation): a program the
 // verifier ACCEPTS must run to completion on the VM — no helper violation,
 // no stack violation, no PC escape — within the worst-case instruction
 // bound the absint pass derived. A program that would break that promise
@@ -44,11 +44,16 @@ namespace {
 
 using test::FakeEnv;
 
-bool mentions(const VerifyResult& v, const std::string& needle) {
+/// The first diagnostic whose message contains `needle`, or nullptr.
+const VerifyDiag* find_diag(const VerifyResult& v, const std::string& needle) {
   for (const VerifyDiag& d : v.diags) {
-    if (d.message.find(needle) != std::string::npos) return true;
+    if (d.message.find(needle) != std::string::npos) return &d;
   }
-  return false;
+  return nullptr;
+}
+
+bool mentions(const VerifyResult& v, const std::string& needle) {
+  return find_diag(v, needle) != nullptr;
 }
 
 std::string render(const VerifyResult& v) {
@@ -170,7 +175,9 @@ TEST(VerifierAbsintTest, RejectsUninitializedStackRead) {
   };
   const VerifyResult v = verify(code);
   EXPECT_FALSE(v.ok);
-  EXPECT_TRUE(mentions(v, "before initialization")) << render(v);
+  const VerifyDiag* d = find_diag(v, "before initialization");
+  ASSERT_NE(d, nullptr) << render(v);
+  EXPECT_FALSE(d->path.empty()) << render(v);
 }
 
 TEST(VerifierAbsintTest, AcceptsStackReadAfterWrite) {
@@ -185,8 +192,8 @@ TEST(VerifierAbsintTest, AcceptsStackReadAfterWrite) {
 
 TEST(VerifierAbsintTest, RejectsStackReadInitializedOnOnlyOneBranch) {
   Code code = {
-      {Op::kMovImm, 1, 0, 0, 1},
       {Op::kCall, 0, 0, 0, static_cast<std::int64_t>(Helper::kSbfCount)},
+      {Op::kMovImm, 1, 0, 0, 1},    // after the call, which clobbers r1
       {Op::kJeqImm, 0, 0, 1, 0},    // if r0 == 0 skip the store
       {Op::kStxDw, 10, 1, -8, 0},   // stored on one path only
       {Op::kLdxDw, 0, 10, -8, 0},   // may read uninitialized
@@ -194,7 +201,55 @@ TEST(VerifierAbsintTest, RejectsStackReadInitializedOnOnlyOneBranch) {
   };
   const VerifyResult v = verify(code);
   EXPECT_FALSE(v.ok);
-  EXPECT_TRUE(mentions(v, "before initialization")) << render(v);
+  const VerifyDiag* d = find_diag(v, "stack slot");
+  ASSERT_NE(d, nullptr) << render(v);
+  EXPECT_EQ(d->pc, 4u) << render(v);
+  EXPECT_NE(d->message.find("before initialization"), std::string::npos);
+  EXPECT_FALSE(d->path.empty()) << render(v);
+}
+
+TEST(VerifierAbsintTest, RejectsEveryUninitializedRegisterRead) {
+  // One program per instruction kind that reads a register, each reading a
+  // register nothing wrote. The finding names the reading pc and register
+  // and carries an entry-to-read path.
+  struct Case {
+    const char* what;
+    Code code;
+    std::size_t pc;
+    int reg;
+  };
+  const Insn ret0 = {Op::kMovImm, 0, 0, 0, 0};
+  const Insn exit = {Op::kExit};
+  const Insn time_ms = {Op::kCall, 0, 0, 0,
+                        static_cast<std::int64_t>(Helper::kTimeMs)};
+  const std::vector<Case> cases = {
+      {"ALU source", {ret0, {Op::kAddReg, 0, 6, 0, 0}, exit}, 1, 6},
+      {"ALU destination", {{Op::kAddImm, 6, 0, 0, 1}, ret0, exit}, 0, 6},
+      {"NEG", {{Op::kNeg, 6, 0, 0, 0}, ret0, exit}, 0, 6},
+      {"jump operand, immediate form",
+       {{Op::kJeqImm, 6, 0, 0, 0}, ret0, exit}, 0, 6},
+      {"jump operand, register form",
+       {ret0, {Op::kJeqReg, 0, 6, 0, 0}, exit}, 1, 6},
+      {"EXIT with r0 unwritten", {{Op::kMovImm, 6, 0, 0, 1}, exit}, 1, 0},
+      {"STX source", {{Op::kStxDw, 10, 6, -8, 0}, ret0, exit}, 0, 6},
+      {"MOV of r1 after a call clobbered it",
+       {{Op::kMovImm, 1, 0, 0, 0}, time_ms, {Op::kMovReg, 6, 1, 0, 0}, ret0,
+        exit},
+       2, 1},
+  };
+  for (const Case& c : cases) {
+    const VerifyResult v = verify(c.code);
+    EXPECT_FALSE(v.ok) << c.what;
+    const std::string want = "register r" + std::to_string(c.reg) +
+                             " may be read before initialization";
+    const auto it =
+        std::find_if(v.diags.begin(), v.diags.end(), [&](const VerifyDiag& d) {
+          return d.pc == c.pc && d.message == want;
+        });
+    ASSERT_NE(it, v.diags.end()) << c.what << "\n" << render(v);
+    ASSERT_FALSE(it->path.empty()) << c.what;
+    EXPECT_EQ(it->path.back(), c.pc) << c.what;
+  }
 }
 
 TEST(VerifierAbsintTest, RejectsFramePointerLeaks) {
@@ -319,7 +374,7 @@ void mutate(Code& code, Rng& rng, int n) {
 }
 
 /// Random instruction soup. A small MOV-immediate prologue (always
-/// including r0, the return register) gives the init-before-read pass
+/// including r0, the return register) gives the initialization check
 /// something to work with — without it virtually every program dies on an
 /// uninitialized read and the accept side of the sweep never runs. Jump
 /// offsets are biased to stay in range; opcode draws include a small
