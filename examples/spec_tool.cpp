@@ -86,10 +86,13 @@ int main(int argc, char** argv) {
 
   if (command == "check") {
     std::printf("%s: OK — %d spec lines, %zu IR instructions, %zu eBPF "
-                "instructions, %zu resident bytes\n",
+                "instructions, %zu resident bytes, worst case %lld eBPF "
+                "instructions (budget %lld)\n",
                 name.c_str(), program->spec_lines(),
                 program->ir().insts.size(), program->generic_code().size(),
-                program->resident_bytes());
+                program->resident_bytes(),
+                static_cast<long long>(program->derived_insn_bound()),
+                static_cast<long long>(options.exec_budget));
     return 0;
   }
   if (command == "ir") {

@@ -2,18 +2,34 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 #include <deque>
 #include <functional>
-#include <memory>
+#include <queue>
 #include <set>
 #include <utility>
 
 #include "lang/ast.hpp"
 #include "mptcp/packet_queue.hpp"
+#include "mptcp/skb.hpp"
 
 namespace progmp::rt::ebpf {
 namespace {
+
+// Environment model for trip-count derivation: the largest queue length and
+// subflow count the WCET bound assumes. Verified programs whose loops scan
+// queues get a bound proportional to the queue length; the runtime budget
+// still catches the (model-exceeding) tail at execution time.
+constexpr std::int64_t kModelQueueLen = 1024;
+constexpr std::int64_t kModelSbfCount = mptcp::kMaxSubflows;
+
+/// Changes at a block head before its intervals are widened to convergence.
+constexpr int kWidenAfter = 8;
+
+/// One stored state per basic block; a hostile program can make every
+/// instruction a jump target, so the working set is bounded explicitly.
+constexpr std::size_t kMaxBlocks = 4096;
+/// Distinct intervals the stored states may name (see IntervalTable).
+constexpr std::size_t kMaxIntervals = 65536;
 
 // ---- Interval domain --------------------------------------------------------
 
@@ -170,47 +186,196 @@ AbsVal join(const AbsVal& a, const AbsVal& b) {
   return r;
 }
 
+/// Widens `next` against `prev`: any bound that moved since the last visit
+/// goes straight to the respective infinity, guaranteeing convergence.
+void widen(AbsVal& next, const AbsVal& prev) {
+  if (next.iv.lo < prev.iv.lo) next.iv.lo = kMin;
+  if (next.iv.hi > prev.iv.hi) next.iv.hi = kMax;
+}
+
 // ---- Program state ----------------------------------------------------------
 
 constexpr int kNumSlots = kStackBytes / 8;
 
-struct State {
-  std::array<AbsVal, kNumRegs> regs;
-  std::array<AbsVal, kNumSlots> slots;
+int slot_index(std::int16_t off) { return (kStackBytes + off) / 8; }
 
-  bool operator==(const State& o) const = default;
+/// Dense numbering of the stack slots the program touches. Only LDX/STX name
+/// a slot, so an untouched slot is never read or written and needs no place
+/// in a state.
+class SlotMap {
+ public:
+  explicit SlotMap(const Code& code) {
+    dense_.fill(-1);
+    for (const Insn& insn : code) {
+      if (insn.op != Op::kLdxDw && insn.op != Op::kStxDw) continue;
+      std::int16_t& d = dense_[slot_index(insn.off)];
+      if (d < 0) d = static_cast<std::int16_t>(count_++);
+    }
+  }
+  [[nodiscard]] int count() const { return count_; }
+  /// Dense index of the slot at frame offset `off` (touched slots only).
+  [[nodiscard]] int at(std::int16_t off) const {
+    return dense_[slot_index(off)];
+  }
+  /// Dense index of raw slot `idx` (touched slots only).
+  [[nodiscard]] int of(int idx) const { return dense_[idx]; }
+
+ private:
+  std::array<std::int16_t, kNumSlots> dense_;
+  int count_ = 0;
 };
 
-State entry_state() {
+/// Marks a slot the current block walk has stored to (see State).
+constexpr std::uint32_t kWritten = UINT32_MAX;
+
+struct State {
+  std::array<AbsVal, kNumRegs> regs;
+  std::vector<AbsVal> slots;  ///< touched slots, numbered by SlotMap
+  /// Per slot, the packed word it was loaded from, or kWritten once the
+  /// walk stored to it: joins skip slots whose word already matches.
+  std::vector<std::uint32_t> slot_words;
+};
+
+State entry_state(const SlotMap& slot_map) {
   State s;
   s.regs[kFp] = AbsVal::frame_ptr();
   // Slots start uninitialized on purpose: the VM zeroes its stack once per
   // VM, not per run, so a slot read before a write observes bytes from an
   // earlier execution — possibly of another connection sharing the program.
+  s.slots.resize(static_cast<std::size_t>(slot_map.count()));
+  s.slot_words.assign(s.slots.size(), kWritten);
   return s;
 }
 
-State join(const State& a, const State& b) {
-  State r;
-  for (int i = 0; i < kNumRegs; ++i) r.regs[i] = join(a.regs[i], b.regs[i]);
-  for (int i = 0; i < kNumSlots; ++i) {
-    r.slots[i] = join(a.slots[i], b.slots[i]);
+/// The distinct intervals named by one absint_check call's stored states,
+/// interned in an open-addressing hash. The built-ins need 25–35 each and
+/// no program of the verifier fuzz sweep more than 67; the cap keeps a
+/// hostile program from growing the table without bound.
+class IntervalTable {
+ public:
+  /// Index of `iv`, added if new; kFull once kMaxIntervals are stored.
+  std::uint32_t intern(Interval iv) {
+    if (2 * (ivs_.size() + 1) > buckets_.size()) grow();
+    const std::size_t mask = buckets_.size() - 1;
+    for (std::size_t b = hash(iv) & mask;; b = (b + 1) & mask) {
+      const std::uint32_t at = buckets_[b];
+      if (at == 0) {
+        if (ivs_.size() == kMaxIntervals) return kFull;
+        ivs_.push_back(iv);
+        buckets_[b] = static_cast<std::uint32_t>(ivs_.size());
+        return buckets_[b] - 1;
+      }
+      if (ivs_[at - 1] == iv) return at - 1;
+    }
   }
-  return r;
-}
+  [[nodiscard]] const Interval& operator[](std::uint32_t i) const {
+    return ivs_[i];
+  }
 
-/// Widens `next` against `prev`: any bound that moved since the last visit
-/// goes straight to the respective infinity, guaranteeing convergence.
-void widen(State& next, const State& prev) {
-  auto w = [](AbsVal& n, const AbsVal& p) {
-    if (n.iv.lo < p.iv.lo) n.iv.lo = kMin;
-    if (n.iv.hi > p.iv.hi) n.iv.hi = kMax;
-  };
-  for (int i = 0; i < kNumRegs; ++i) w(next.regs[i], prev.regs[i]);
-  for (int i = 0; i < kNumSlots; ++i) w(next.slots[i], prev.slots[i]);
-}
+  static constexpr std::uint32_t kFull = UINT32_MAX;
 
-int slot_index(std::int16_t off) { return (kStackBytes + off) / 8; }
+ private:
+  static std::size_t hash(Interval iv) {
+    std::uint64_t h = static_cast<std::uint64_t>(iv.lo) * 0x9e3779b97f4a7c15ULL;
+    h ^= static_cast<std::uint64_t>(iv.hi) * 0xc2b2ae3d27d4eb4fULL;
+    return static_cast<std::size_t>(h ^ (h >> 29));
+  }
+  void grow() {
+    std::vector<std::uint32_t> old = std::move(buckets_);
+    buckets_.assign(std::max<std::size_t>(64, 2 * old.size()), 0);
+    const std::size_t mask = buckets_.size() - 1;
+    for (const std::uint32_t at : old) {
+      if (at == 0) continue;
+      std::size_t b = hash(ivs_[at - 1]) & mask;
+      while (buckets_[b] != 0) b = (b + 1) & mask;
+      buckets_[b] = at;
+    }
+  }
+
+  std::vector<Interval> ivs_;
+  std::vector<std::uint32_t> buckets_;  ///< interval index + 1; 0 = empty
+};
+
+/// Block-head states, packed into one flat arena: one 32-bit word per
+/// register and touched slot — kind (2 bits), maybe-uninit (1 bit) and an
+/// IntervalTable index. A block walk unpacks its head state into a scratch
+/// State; joins work on the packed words in place.
+class StateStore {
+ public:
+  StateStore(std::size_t n, std::size_t blocks, const SlotMap& slot_map)
+      : base_(n, kNone) {
+    arena_.reserve(blocks *
+                   (kNumRegs + static_cast<std::size_t>(slot_map.count())));
+  }
+
+  [[nodiscard]] bool has(std::size_t pc) const { return base_[pc] != kNone; }
+  /// True once a state needed more than kMaxIntervals distinct intervals;
+  /// the stored states are then unusable.
+  [[nodiscard]] bool full() const { return full_; }
+
+  void load(std::size_t pc, State& out) const {
+    const std::uint32_t* w = &arena_[base_[pc]];
+    for (int r = 0; r < kNumRegs; ++r) out.regs[r] = unpack(w[r]);
+    for (std::size_t i = 0; i < out.slots.size(); ++i) {
+      out.slot_words[i] = w[kNumRegs + i];
+      out.slots[i] = unpack(out.slot_words[i]);
+    }
+  }
+
+  /// Stores `s` as the first state to reach `pc`.
+  void init(std::size_t pc, const State& s) {
+    base_[pc] = static_cast<std::uint32_t>(arena_.size());
+    for (const AbsVal& v : s.regs) arena_.push_back(pack(v));
+    for (std::size_t i = 0; i < s.slots.size(); ++i) {
+      arena_.push_back(s.slot_words[i] != kWritten ? s.slot_words[i]
+                                                   : pack(s.slots[i]));
+    }
+  }
+
+  /// Joins `s` into the state stored at `pc`; true if it changed. With
+  /// `widening`, every bound that moves goes straight to its infinity.
+  bool join_into(std::size_t pc, const State& s, bool widening) {
+    std::uint32_t* w = &arena_[base_[pc]];
+    bool changed = false;
+    auto one = [&](std::uint32_t& word, const AbsVal& in) {
+      const AbsVal old = unpack(word);
+      AbsVal merged = join(old, in);
+      if (merged == old) return;
+      if (widening) widen(merged, old);
+      word = pack(merged);
+      changed = true;
+    };
+    for (int r = 0; r < kNumRegs; ++r) one(w[r], s.regs[r]);
+    for (std::size_t i = 0; i < s.slots.size(); ++i) {
+      // Equal words hold equal values, and a join with itself is a no-op.
+      if (s.slot_words[i] != w[kNumRegs + i]) {
+        one(w[kNumRegs + i], s.slots[i]);
+      }
+    }
+    return changed;
+  }
+
+ private:
+  static constexpr std::uint32_t kNone = UINT32_MAX;
+
+  std::uint32_t pack(const AbsVal& v) {
+    std::uint32_t iv = table_.intern(v.iv);
+    if (iv == IntervalTable::kFull) {
+      full_ = true;  // the caller abandons the fixpoint
+      iv = 0;
+    }
+    return static_cast<std::uint32_t>(v.kind) |
+           (v.maybe_uninit ? 4u : 0u) | (iv << 3);
+  }
+  [[nodiscard]] AbsVal unpack(std::uint32_t w) const {
+    return {static_cast<ValKind>(w & 3u), (w & 4u) != 0, table_[w >> 3]};
+  }
+
+  IntervalTable table_;
+  std::vector<std::uint32_t> arena_;
+  std::vector<std::uint32_t> base_;  ///< pc -> arena offset, kNone if unset
+  bool full_ = false;
+};
 
 // ---- Branch refinement ------------------------------------------------------
 
@@ -456,12 +621,12 @@ void check_call(std::size_t pc, const Insn& insn, const State& st,
 }
 
 /// Helper return-value model.
-AbsVal call_result(Helper helper, const AbsintOptions& opts) {
+AbsVal call_result(Helper helper) {
   switch (helper) {
     case Helper::kSbfCount:
-      return AbsVal::scalar({0, opts.model_sbf_count});
+      return AbsVal::scalar({0, kModelSbfCount});
     case Helper::kQueueLen:
-      return AbsVal::scalar({0, opts.model_queue_len});
+      return AbsVal::scalar({0, kModelQueueLen});
     case Helper::kQueueNth:
     case Helper::kPop:
       return AbsVal::handle();
@@ -485,7 +650,7 @@ AbsVal call_result(Helper helper, const AbsintOptions& opts) {
 /// Applies one non-jump instruction to `st`. `sink` is null during the
 /// fixpoint and set during the final reporting walk.
 void transfer(State& st, std::size_t pc, const Insn& insn,
-              const AbsintOptions& opts, DiagSinkFn* sink) {
+              const SlotMap& slot_map, DiagSinkFn* sink) {
   auto fp_arith = [&](int r) {
     if (sink != nullptr && st.regs[r].kind == ValKind::kFramePtr) {
       sink->emit(pc, "frame pointer used in arithmetic (r" +
@@ -535,14 +700,14 @@ void transfer(State& st, std::size_t pc, const Insn& insn,
       break;
     case Op::kCall: {
       if (sink != nullptr) check_call(pc, insn, st, *sink);
-      st.regs[0] = call_result(static_cast<Helper>(insn.imm), opts);
+      st.regs[0] = call_result(static_cast<Helper>(insn.imm));
       // r1-r5 are poisoned by the VM; model them as uninitialized so a
       // later helper call reusing them without a fresh MOV is flagged.
       for (int r = 1; r <= 5; ++r) st.regs[r] = AbsVal::uninit();
       break;
     }
     case Op::kLdxDw: {
-      const AbsVal& slot = st.slots[slot_index(insn.off)];
+      const AbsVal& slot = st.slots[slot_map.at(insn.off)];
       if (sink != nullptr && slot.is_uninit_path()) {
         sink->emit(pc,
                    "stack slot [r10" + std::to_string(insn.off) +
@@ -556,7 +721,7 @@ void transfer(State& st, std::size_t pc, const Insn& insn,
       break;
     }
     case Op::kStxDw:
-      st.slots[slot_index(insn.off)] = src;
+      st.slots[slot_map.at(insn.off)] = src;
       break;
     case Op::kExit:
       if (sink != nullptr && st.regs[0].kind == ValKind::kFramePtr) {
@@ -682,6 +847,19 @@ struct Loop {
   std::size_t end = 0;  ///< largest reachable back-edge source
   std::vector<std::size_t> back_edges;
   std::int64_t trips = 0;  ///< bound on body executions (+1 covers guards)
+
+  // Shape, derived from the code alone (steps 1-3 of bounding).
+  std::string why;  ///< non-empty: the loop cannot be bounded, and why
+  Place counter;
+  std::int64_t step = 0;
+  Rel exit_rel = Rel::kEq;  ///< exit condition, counter on the left
+  Place limit_place;        ///< set when the limit is an invariant place
+  std::int64_t limit_const = 0;  ///< the limit otherwise
+
+  // Counter and limit joined over the loop's entry edges (step 4).
+  bool entry_seen = false;
+  AbsVal entry_counter;
+  AbsVal entry_limit;
 };
 
 constexpr std::int64_t kWcetCap = 1'000'000'000'000'000;  // 1e15, saturating
@@ -709,47 +887,47 @@ AbsintResult absint_check(const Code& code, const AbsintOptions& options) {
   }
   std::size_t leader_count = 0;
   for (std::size_t pc = 0; pc < n; ++pc) leader_count += is_leader[pc];
-  // One stored abstract state per leader; a hostile program can make every
-  // instruction a jump target, so bound the working set explicitly.
-  if (leader_count > 4096) {
+  if (leader_count > kMaxBlocks) {
     result.diags.push_back(
         {0, "program too complex to verify (too many basic blocks)", {}});
     return result;
   }
 
   // ---- Fixpoint --------------------------------------------------------------
-  std::vector<std::unique_ptr<State>> states(n);
-  std::vector<int> joins_at(n, 0);
-  std::deque<std::size_t> work;
+  const SlotMap slot_map(code);
+  StateStore states(n, leader_count, slot_map);
+  std::vector<int> changes_at(n, 0);
   std::vector<bool> queued(n, false);
+  // Lowest pending pc first: code is laid out in program order, so a block's
+  // forward predecessors settle before it is walked and a loop converges
+  // before the code after it runs.
+  std::priority_queue<std::size_t, std::vector<std::size_t>, std::greater<>>
+      work;
 
-  auto propagate = [&](std::size_t succ, const State& s) {
-    if (states[succ] == nullptr) {
-      states[succ] = std::make_unique<State>(s);
+  auto propagate = [&](std::size_t, std::size_t succ, const State& s) {
+    if (!states.has(succ)) {
+      states.init(succ, s);
     } else {
-      State merged = join(*states[succ], s);
-      if (merged == *states[succ]) return;
-      if (++joins_at[succ] > options.widen_after) {
-        widen(merged, *states[succ]);
+      if (!states.join_into(succ, s, changes_at[succ] >= kWidenAfter)) {
+        return;
       }
-      *states[succ] = merged;
+      ++changes_at[succ];
     }
     if (!queued[succ]) {
       queued[succ] = true;
-      work.push_back(succ);
+      work.push(succ);
     }
   };
 
-  // Walks one basic block from `head`. With `sink` set this is the final
-  // reporting walk: diagnostics are emitted and walked pcs marked reachable.
-  // `edge_fn(from_pc, succ_pc, state)` (when set) receives every feasible
-  // outgoing edge with its branch-refined state — the fixpoint passes
-  // `propagate`, the loop-bound pass a collector for loop-entry states.
-  using EdgeFn = std::function<void(std::size_t, std::size_t, const State&)>;
+  // Walks one basic block from `head`, starting from its stored state. With
+  // `sink` set this is the final reporting walk: diagnostics are emitted and
+  // walked pcs marked reachable. `on_edge(from_pc, succ_pc, state)` receives
+  // every feasible outgoing edge with its branch-refined state — the fixpoint
+  // passes `propagate`, the loop-bound pass a collector for loop-entry states.
+  State cur = entry_state(slot_map);
   std::vector<bool> reachable(n, false);
-  auto walk_block = [&](std::size_t head, DiagSinkFn* sink,
-                        const EdgeFn* edge_fn) {
-    State cur = *states[head];
+  auto walk_block = [&](std::size_t head, DiagSinkFn* sink, auto&& on_edge) {
+    states.load(head, cur);
     std::size_t pc = head;
     for (;;) {
       const Insn& insn = code[pc];
@@ -758,55 +936,61 @@ AbsintResult absint_check(const Code& code, const AbsintOptions& options) {
         check_reads(pc, insn, cur, *sink);
       }
       if (insn.op == Op::kExit) {
-        transfer(cur, pc, insn, options, sink);
-        return;
-      }
-      if (insn.op == Op::kJa) {
-        const auto target = static_cast<std::size_t>(
-            static_cast<std::int64_t>(pc) + 1 + insn.off);
-        if (edge_fn != nullptr) (*edge_fn)(pc, target, cur);
+        transfer(cur, pc, insn, slot_map, sink);
         return;
       }
       if (is_jump(insn.op)) {
-        State taken = cur;
-        State fall = cur;
         const auto target = static_cast<std::size_t>(
             static_cast<std::int64_t>(pc) + 1 + insn.off);
-        if (edge_fn != nullptr) {
-          if (refine_edge(taken, insn, true)) (*edge_fn)(pc, target, taken);
-          if (refine_edge(fall, insn, false)) (*edge_fn)(pc, pc + 1, fall);
+        if (insn.op == Op::kJa) {
+          on_edge(pc, target, cur);
+          return;
         }
+        // Refine in place for the taken edge, restore the operands, then
+        // refine for the fall-through edge.
+        const AbsVal dst = cur.regs[insn.dst];
+        const AbsVal src = cur.regs[insn.src];
+        if (refine_edge(cur, insn, true)) on_edge(pc, target, cur);
+        cur.regs[insn.dst] = dst;
+        cur.regs[insn.src] = src;
+        if (refine_edge(cur, insn, false)) on_edge(pc, pc + 1, cur);
         return;
       }
-      transfer(cur, pc, insn, options, sink);
+      transfer(cur, pc, insn, slot_map, sink);
+      if (insn.op == Op::kStxDw) {
+        cur.slot_words[slot_map.at(insn.off)] = kWritten;
+      }
       ++pc;
       if (pc >= n) return;  // structurally impossible (last insn EXIT/JA)
       if (is_leader[pc]) {
-        if (edge_fn != nullptr) (*edge_fn)(pc - 1, pc, cur);
+        on_edge(pc - 1, pc, cur);
         return;
       }
     }
   };
-  const EdgeFn propagate_edge = [&](std::size_t, std::size_t succ,
-                                    const State& s) { propagate(succ, s); };
 
-  states[0] = std::make_unique<State>(entry_state());
+  states.init(0, cur);
   queued[0] = true;
-  work.push_back(0);
+  work.push(0);
   std::size_t steps = 0;
   const std::size_t max_steps = 64 * std::max<std::size_t>(leader_count, 1) +
-                                8 * static_cast<std::size_t>(options.widen_after) *
-                                    leader_count;
+                                8 * kWidenAfter * leader_count;
   while (!work.empty()) {
     if (++steps > max_steps) {
       result.diags.push_back(
           {0, "abstract interpretation did not converge", {}});
       return result;
     }
-    const std::size_t head = work.front();
-    work.pop_front();
+    const std::size_t head = work.top();
+    work.pop();
     queued[head] = false;
-    walk_block(head, nullptr, &propagate_edge);
+    walk_block(head, nullptr, propagate);
+    if (states.full()) {
+      result.diags.push_back(
+          {0, "program too complex to verify (too many distinct intervals)",
+           {}});
+      return result;
+    }
   }
 
   // ---- Final reporting walk --------------------------------------------------
@@ -825,10 +1009,9 @@ AbsintResult absint_check(const Code& code, const AbsintOptions& options) {
   CollectSink sink;
   sink.seen = &seen;
   sink.out = &result.diags;
+  const auto no_edge = [](std::size_t, std::size_t, const State&) {};
   for (std::size_t pc = 0; pc < n; ++pc) {
-    if (is_leader[pc] && states[pc] != nullptr) {
-      walk_block(pc, &sink, nullptr);
-    }
+    if (is_leader[pc] && states.has(pc)) walk_block(pc, &sink, no_edge);
   }
 
   // ---- Counterexample paths (BFS parents over the reachable CFG) ------------
@@ -881,7 +1064,11 @@ AbsintResult absint_check(const Code& code, const AbsintOptions& options) {
     auto it = std::find_if(loops.begin(), loops.end(),
                            [&](const Loop& l) { return l.head == target; });
     if (it == loops.end()) {
-      loops.push_back({target, pc, {pc}, 0});
+      Loop loop;
+      loop.head = target;
+      loop.end = pc;
+      loop.back_edges = {pc};
+      loops.push_back(std::move(loop));
     } else {
       it->end = std::max(it->end, pc);
       it->back_edges.push_back(pc);
@@ -938,24 +1125,10 @@ AbsintResult absint_check(const Code& code, const AbsintOptions& options) {
     }
   };
 
-  // Bounds one loop; emits a diagnostic (with counterexample path) and
-  // returns false when no bound can be derived.
-  auto bound_loop = [&](Loop& loop) -> bool {
-    if (states[loop.head] == nullptr) return false;  // unreachable: ignore
-
-    auto unbounded = [&](const std::string& why) {
-      const std::size_t src = loop.back_edges.front();
-      AbsintDiag d;
-      d.pc = loop.head;
-      d.message = "cannot bound loop at insn " + std::to_string(loop.head) +
-                  " (back edge at insn " + std::to_string(src) + "): " + why;
-      d.path = path_to(src);
-      if (seen.insert({d.pc, d.message}).second) {
-        result.diags.push_back(std::move(d));
-      }
-      return false;
-    };
-
+  // Steps 1-3 of bounding one loop, from the code alone: the guard, the
+  // counter and its step, and the limit. Returns why the loop cannot be
+  // bounded, or an empty string with the shape stored in `loop`.
+  auto shape_loop = [&](Loop& loop) -> std::string {
     // 1. Guard: the first jump reached from the loop head must be a
     // conditional branch with exactly one successor leaving the loop.
     std::size_t guard = loop.head;
@@ -964,7 +1137,7 @@ AbsintResult absint_check(const Code& code, const AbsintOptions& options) {
       ++guard;
     }
     if (guard >= n || !is_jump(code[guard].op) || code[guard].op == Op::kJa) {
-      return unbounded("no conditional exit guard at the loop head");
+      return "no conditional exit guard at the loop head";
     }
     const auto target = static_cast<std::size_t>(
         static_cast<std::int64_t>(guard) + 1 + code[guard].off);
@@ -974,7 +1147,7 @@ AbsintResult absint_check(const Code& code, const AbsintOptions& options) {
     const bool taken_exits = !inside(target);
     const bool fall_exits = !inside(guard + 1);
     if (taken_exits == fall_exits) {
-      return unbounded("loop-head guard does not leave the loop");
+      return "loop-head guard does not leave the loop";
     }
 
     // Symbolic operands of the guard, relative to the loop head.
@@ -1005,7 +1178,7 @@ AbsintResult absint_check(const Code& code, const AbsintOptions& options) {
     for (const std::size_t src : loop.back_edges) {
       const std::size_t start = suffix_start(src);
       if (start < loop.head) {
-        return unbounded("back-edge block extends outside the loop");
+        return "back-edge block extends outside the loop";
       }
       BlockEval be;
       be.run(code, start, src);
@@ -1023,11 +1196,10 @@ AbsintResult absint_check(const Code& code, const AbsintOptions& options) {
         }
       }
       if (!found.valid()) {
-        return unbounded(
-            "no provably monotone loop counter in the back-edge block");
+        return "no provably monotone loop counter in the back-edge block";
       }
       if (counter.valid() && !(counter == found && step == found_step)) {
-        return unbounded("back edges advance different counters");
+        return "back edges advance different counters";
       }
       counter = found;
       step = found_step;
@@ -1036,8 +1208,7 @@ AbsintResult absint_check(const Code& code, const AbsintOptions& options) {
       for (std::size_t pc = loop.head; pc <= loop.end; ++pc) {
         if (!reachable[pc] || (pc >= start && pc <= src)) continue;
         if (writes_place(code[pc], counter)) {
-          return unbounded("loop counter is also written at insn " +
-                           std::to_string(pc));
+          return "loop counter is also written at insn " + std::to_string(pc);
         }
       }
     }
@@ -1054,99 +1225,130 @@ AbsintResult absint_check(const Code& code, const AbsintOptions& options) {
     if (limit_is_place) {
       for (std::size_t pc = loop.head; pc <= loop.end; ++pc) {
         if (reachable[pc] && writes_place(code[pc], limit.place)) {
-          return unbounded("loop bound is written inside the loop (insn " +
-                           std::to_string(pc) + ")");
+          return "loop bound is written inside the loop (insn " +
+                 std::to_string(pc) + ")";
         }
       }
+      loop.limit_place = limit.place;
     } else if (limit.k != Sym::K::kConst) {
-      return unbounded("unrecognized loop bound expression");
+      return "unrecognized loop bound expression";
+    } else {
+      loop.limit_const = limit.c;
     }
+    loop.counter = counter;
+    loop.step = step;
+    loop.exit_rel = exit_rel;
+    return {};
+  };
 
-    // 4. Entry values: counter and limit joined over the loop's entry
-    // edges — the states flowing into the head from *outside* [head, end].
-    // The joined head state is useless here: widening pushed the counter's
-    // range to infinity (by design), but on entry the counter is precise,
-    // and since the single increment site advances it monotonically toward
-    // the exit and nothing else writes it, the entry value bounds the trip
-    // count by induction.
-    bool entry_seen = false;
-    AbsVal entry_counter;
-    AbsVal entry_limit;
-    const EdgeFn collect = [&](std::size_t from, std::size_t to,
-                               const State& st) {
-      if (to != loop.head || (from >= loop.head && from <= loop.end)) return;
-      auto get = [&](const Place& p) {
-        return p.is_slot ? st.slots[p.idx] : st.regs[p.idx];
-      };
-      const AbsVal c = get(counter);
-      const AbsVal l = limit_is_place ? get(limit.place) : AbsVal{};
-      if (!entry_seen) {
-        entry_counter = c;
-        entry_limit = l;
-        entry_seen = true;
-      } else {
-        entry_counter = join(entry_counter, c);
-        entry_limit = join(entry_limit, l);
-      }
+  bool any_shaped = false;
+  for (Loop& loop : loops) {
+    if (!states.has(loop.head)) continue;  // dead loop: no cost
+    loop.why = shape_loop(loop);
+    any_shaped = any_shaped || loop.why.empty();
+  }
+
+  // 4. Entry values: counter and limit joined over each loop's entry edges
+  // — the states flowing into the head from *outside* [head, end] — in one
+  // walk over the whole program. The joined head state is useless here:
+  // widening pushed the counter's range to infinity (by design), but on
+  // entry the counter is precise, and since the single increment site
+  // advances it monotonically toward the exit and nothing else writes it,
+  // the entry value bounds the trip count by induction.
+  auto collect = [&](std::size_t from, std::size_t to, const State& st) {
+    const auto it = std::lower_bound(
+        loops.begin(), loops.end(), to,
+        [](const Loop& l, std::size_t pc) { return l.head < pc; });
+    if (it == loops.end() || it->head != to || !it->why.empty()) return;
+    Loop& loop = *it;
+    if (from >= loop.head && from <= loop.end) return;
+    auto get = [&](const Place& p) {
+      return p.is_slot ? st.slots[slot_map.of(p.idx)] : st.regs[p.idx];
     };
+    const AbsVal c = get(loop.counter);
+    const AbsVal l = loop.limit_place.valid() ? get(loop.limit_place)
+                                              : AbsVal{};
+    if (!loop.entry_seen) {
+      loop.entry_counter = c;
+      loop.entry_limit = l;
+      loop.entry_seen = true;
+    } else {
+      loop.entry_counter = join(loop.entry_counter, c);
+      loop.entry_limit = join(loop.entry_limit, l);
+    }
+  };
+  if (any_shaped) {
     for (std::size_t pc = 0; pc < n; ++pc) {
-      if (is_leader[pc] && states[pc] != nullptr) {
-        walk_block(pc, nullptr, &collect);
-      }
+      if (is_leader[pc] && states.has(pc)) walk_block(pc, nullptr, collect);
     }
-    if (!entry_seen) {
-      return unbounded("loop head has no entry edge from outside the loop");
+  }
+
+  // 5. Trip count from direction + exit relation + entry interval. Returns
+  // why the loop cannot be bounded, or an empty string with `loop.trips`
+  // set.
+  auto bound_trips = [&](Loop& loop) -> std::string {
+    if (!loop.entry_seen) {
+      return "loop head has no entry edge from outside the loop";
     }
-    if (entry_counter.is_uninit_path()) {
-      return unbounded("loop counter may be uninitialized on loop entry");
+    if (loop.entry_counter.is_uninit_path()) {
+      return "loop counter may be uninitialized on loop entry";
     }
     Interval limit_iv;
-    if (limit_is_place) {
-      if (entry_limit.is_uninit_path()) {
-        return unbounded("loop bound may be uninitialized on loop entry");
+    if (loop.limit_place.valid()) {
+      if (loop.entry_limit.is_uninit_path()) {
+        return "loop bound may be uninitialized on loop entry";
       }
-      limit_iv = entry_limit.iv;
+      limit_iv = loop.entry_limit.iv;
     } else {
-      limit_iv = Interval::of(limit.c);
+      limit_iv = Interval::of(loop.limit_const);
     }
 
-    // 5. Trip count from direction + exit relation + entry interval.
-    const Interval counter_iv = entry_counter.iv;
+    const Interval counter_iv = loop.entry_counter.iv;
+    const Rel exit_rel = loop.exit_rel;
     Wide span;
-    if (step > 0 && (exit_rel == Rel::kGe || exit_rel == Rel::kGt)) {
-      if (limit_iv.hi == kMax) {
-        return unbounded("loop bound has no finite upper bound");
-      }
+    if (loop.step > 0 && (exit_rel == Rel::kGe || exit_rel == Rel::kGt)) {
+      if (limit_iv.hi == kMax) return "loop bound has no finite upper bound";
       if (counter_iv.lo == kMin) {
-        return unbounded("loop counter has no finite lower bound");
+        return "loop counter has no finite lower bound";
       }
       span = static_cast<Wide>(limit_iv.hi) - counter_iv.lo +
              (exit_rel == Rel::kGt ? 1 : 0);
-    } else if (step < 0 && (exit_rel == Rel::kLe || exit_rel == Rel::kLt)) {
-      if (limit_iv.lo == kMin) {
-        return unbounded("loop bound has no finite lower bound");
-      }
+    } else if (loop.step < 0 &&
+               (exit_rel == Rel::kLe || exit_rel == Rel::kLt)) {
+      if (limit_iv.lo == kMin) return "loop bound has no finite lower bound";
       if (counter_iv.hi == kMax) {
-        return unbounded("loop counter has no finite upper bound");
+        return "loop counter has no finite upper bound";
       }
       span = static_cast<Wide>(counter_iv.hi) - limit_iv.lo +
              (exit_rel == Rel::kLt ? 1 : 0);
     } else {
-      return unbounded("loop counter does not advance toward the exit "
-                       "condition");
+      return "loop counter does not advance toward the exit condition";
     }
     if (span < 0) span = 0;
-    const Wide mag = step > 0 ? step : -static_cast<Wide>(step);
+    const Wide mag =
+        loop.step > 0 ? loop.step : -static_cast<Wide>(loop.step);
     Wide trips = span / mag + 1;
     if (trips > kWcetCap) trips = kWcetCap;
     loop.trips = static_cast<std::int64_t>(trips);
-    return true;
+    return {};
   };
 
   bool all_bounded = true;
   for (Loop& loop : loops) {
-    if (states[loop.head] == nullptr) continue;  // dead loop: no cost
-    if (!bound_loop(loop)) all_bounded = false;
+    if (!states.has(loop.head)) continue;  // dead loop: no cost
+    if (loop.why.empty()) loop.why = bound_trips(loop);
+    if (loop.why.empty()) continue;
+    all_bounded = false;
+    const std::size_t src = loop.back_edges.front();
+    AbsintDiag d;
+    d.pc = loop.head;
+    d.message = "cannot bound loop at insn " + std::to_string(loop.head) +
+                " (back edge at insn " + std::to_string(src) + "): " +
+                loop.why;
+    d.path = path_to(src);
+    if (seen.insert({d.pc, d.message}).second) {
+      result.diags.push_back(std::move(d));
+    }
   }
 
   // ---- Derived worst-case instruction count ----------------------------------
@@ -1156,7 +1358,7 @@ AbsintResult absint_check(const Code& code, const AbsintOptions& options) {
       if (!reachable[pc]) continue;
       Wide mult = 1;
       for (const Loop& loop : loops) {
-        if (states[loop.head] == nullptr) continue;
+        if (!states.has(loop.head)) continue;
         if (pc >= loop.head && pc <= loop.end) {
           mult *= static_cast<Wide>(loop.trips) + 1;
           if (mult > kWcetCap) {
@@ -1177,7 +1379,7 @@ AbsintResult absint_check(const Code& code, const AbsintOptions& options) {
       std::size_t anchor = 0;
       std::int64_t worst = 0;
       for (const Loop& loop : loops) {
-        if (states[loop.head] != nullptr && loop.trips > worst) {
+        if (states.has(loop.head) && loop.trips > worst) {
           worst = loop.trips;
           anchor = loop.head;
         }
@@ -1188,9 +1390,8 @@ AbsintResult absint_check(const Code& code, const AbsintOptions& options) {
                     " exceeds the execution budget " +
                     std::to_string(options.exec_budget) +
                     " (environment model: queue length <= " +
-                    std::to_string(options.model_queue_len) +
-                    ", subflows <= " +
-                    std::to_string(options.model_sbf_count) + ")");
+                    std::to_string(kModelQueueLen) + ", subflows <= " +
+                    std::to_string(kModelSbfCount) + ")");
     }
   }
 

@@ -3,8 +3,7 @@
 //
 // The shape follows the PREVAIL/ebpf-verifier line of work: a small abstract
 // domain per register and per 8-byte stack slot, a fixpoint over basic
-// blocks with widening at loop heads, and checks expressed as domain
-// queries. The domain tracks
+// blocks, and checks expressed as domain queries. The domain tracks
 //
 //   * a value kind (uninitialized / scalar / frame pointer / packet handle)
 //     — the "typed context": helpers that take a packet handle must receive
@@ -22,17 +21,29 @@
 //     earlier run (potentially of another connection sharing the program).
 //     Both findings carry an entry-to-read path.
 //
+// The fixpoint keeps one state per basic-block head, covering the registers
+// and only the stack slots some LDX/STX names. Stored states are packed one
+// 32-bit word per entry (kind, maybe-uninit bit, index into a per-call
+// table of interned intervals) in one flat arena; a block walk unpacks its
+// head state into a scratch state and joins into successors in place. The
+// worklist walks the lowest pending pc first. Any block head whose state
+// changes more than 8 times is widened: every bound that still moves goes to
+// its infinity. A program with more than 4,096 basic blocks, or one whose
+// states need more than 65,536 distinct intervals, is rejected as too
+// complex to verify.
+//
 // On top of the converged fixpoint, every *reachable back edge* must belong
 // to a loop whose trip count the pass can bound: the loop-head guard is
 // matched against a monotone counter (stack slot or callee-saved register,
 // single increment site in the back-edge block) and a loop-invariant limit
 // with a finite upper bound under the environment model (SBF_COUNT <= 8,
-// queue lengths <= model_queue_len). The per-loop bounds multiply into a
-// derived worst-case instruction count for one execution, checked against
-// the load-time exec budget. A back edge that cannot be bounded is a
-// rejection, reported with an entry-to-back-edge counterexample path — the
-// runtime instruction budget stays as defense in depth, not as the primary
-// loop defense.
+// queue lengths <= 1024), using the counter and limit joined over the
+// loop's entry edges. The per-loop bounds multiply into a derived
+// worst-case instruction count for one execution, checked against the
+// load-time exec budget. A back edge that cannot be bounded is a rejection,
+// reported with an entry-to-back-edge counterexample path — the runtime
+// instruction budget stays as defense in depth, not as the primary loop
+// defense.
 #pragma once
 
 #include <cstdint>
@@ -44,19 +55,10 @@
 namespace progmp::rt::ebpf {
 
 struct AbsintOptions {
-  /// Environment model for trip-count derivation: the largest queue length
-  /// the WCET bound assumes. Verified programs whose loops scan queues get
-  /// a bound proportional to this; the runtime budget still catches the
-  /// (model-exceeding) tail at execution time.
-  std::int64_t model_queue_len = 1024;
-  /// Modeled maximum subflow count (mptcp::kMaxSubflows).
-  std::int64_t model_sbf_count = 8;
   /// Load-time budget the derived worst-case instruction count is checked
   /// against; <= 0 disables the budget check (bounds are still derived and
   /// unbounded loops still rejected).
   std::int64_t exec_budget = 1'000'000;
-  /// Joins at a block head before intervals are widened to convergence.
-  int widen_after = 8;
 };
 
 /// One finding, anchored at an instruction; `path` (when non-empty) is an

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "runtime/arith.hpp"
+
 namespace progmp::rt::ebpf {
 namespace {
 
@@ -146,23 +148,24 @@ Vm::RunResult Vm::run(const Code& code, SchedulerEnv& env,
 
   PROGMP_VM_NEXT();
 
-  PROGMP_VM_CASE(AddReg) PROGMP_VM_BODY({ dst += src; ++pc; })
-  PROGMP_VM_CASE(AddImm) PROGMP_VM_BODY({ dst += insn.imm; ++pc; })
-  PROGMP_VM_CASE(SubReg) PROGMP_VM_BODY({ dst -= src; ++pc; })
-  PROGMP_VM_CASE(SubImm) PROGMP_VM_BODY({ dst -= insn.imm; ++pc; })
-  PROGMP_VM_CASE(MulReg) PROGMP_VM_BODY({ dst *= src; ++pc; })
-  PROGMP_VM_CASE(MulImm) PROGMP_VM_BODY({ dst *= insn.imm; ++pc; })
-  PROGMP_VM_CASE(DivReg)
-  PROGMP_VM_BODY({ dst = src == 0 ? 0 : dst / src; ++pc; })
+  PROGMP_VM_CASE(AddReg) PROGMP_VM_BODY({ dst = arith::add(dst, src); ++pc; })
+  PROGMP_VM_CASE(AddImm)
+  PROGMP_VM_BODY({ dst = arith::add(dst, insn.imm); ++pc; })
+  PROGMP_VM_CASE(SubReg) PROGMP_VM_BODY({ dst = arith::sub(dst, src); ++pc; })
+  PROGMP_VM_CASE(SubImm)
+  PROGMP_VM_BODY({ dst = arith::sub(dst, insn.imm); ++pc; })
+  PROGMP_VM_CASE(MulReg) PROGMP_VM_BODY({ dst = arith::mul(dst, src); ++pc; })
+  PROGMP_VM_CASE(MulImm)
+  PROGMP_VM_BODY({ dst = arith::mul(dst, insn.imm); ++pc; })
+  PROGMP_VM_CASE(DivReg) PROGMP_VM_BODY({ dst = arith::div(dst, src); ++pc; })
   PROGMP_VM_CASE(DivImm)
-  PROGMP_VM_BODY({ dst = insn.imm == 0 ? 0 : dst / insn.imm; ++pc; })
-  PROGMP_VM_CASE(ModReg)
-  PROGMP_VM_BODY({ dst = src == 0 ? 0 : dst % src; ++pc; })
+  PROGMP_VM_BODY({ dst = arith::div(dst, insn.imm); ++pc; })
+  PROGMP_VM_CASE(ModReg) PROGMP_VM_BODY({ dst = arith::mod(dst, src); ++pc; })
   PROGMP_VM_CASE(ModImm)
-  PROGMP_VM_BODY({ dst = insn.imm == 0 ? 0 : dst % insn.imm; ++pc; })
+  PROGMP_VM_BODY({ dst = arith::mod(dst, insn.imm); ++pc; })
   PROGMP_VM_CASE(MovReg) PROGMP_VM_BODY({ dst = src; ++pc; })
   PROGMP_VM_CASE(MovImm) PROGMP_VM_BODY({ dst = insn.imm; ++pc; })
-  PROGMP_VM_CASE(Neg) PROGMP_VM_BODY({ dst = -dst; ++pc; })
+  PROGMP_VM_CASE(Neg) PROGMP_VM_BODY({ dst = arith::neg(dst); ++pc; })
   PROGMP_VM_CASE(Ja)
   PROGMP_VM_BODY({
     pc = static_cast<std::size_t>(static_cast<std::int64_t>(pc) + 1 +

@@ -3,6 +3,7 @@
 #include <limits>
 
 #include "core/check.hpp"
+#include "runtime/arith.hpp"
 
 namespace progmp::rt {
 namespace {
@@ -154,7 +155,8 @@ class Interp {
       case ExprKind::kUnary: {
         const Value a = eval(e.a);
         v.type = e.un_op == lang::UnOp::kNeg ? Type::kInt : Type::kBool;
-        v.i = e.un_op == lang::UnOp::kNeg ? -a.i : (a.i == 0 ? 1 : 0);
+        v.i = e.un_op == lang::UnOp::kNeg ? arith::neg(a.i)
+                                          : (a.i == 0 ? 1 : 0);
         break;
       }
       case ExprKind::kBinary:
@@ -204,7 +206,7 @@ class Interp {
         std::int64_t sum = 0;
         for (std::int64_t elem : base.items) {
           bind_param(e.var_slot, elem_type, elem);
-          sum += eval(e.b).i;
+          sum = arith::add(sum, eval(e.b).i);
         }
         v.type = Type::kInt;
         v.i = sum;
@@ -285,11 +287,11 @@ class Interp {
     v.type = Type::kInt;
     using lang::BinOp;
     switch (e.bin_op) {
-      case BinOp::kAdd: v.i = a.i + b.i; break;
-      case BinOp::kSub: v.i = a.i - b.i; break;
-      case BinOp::kMul: v.i = a.i * b.i; break;
-      case BinOp::kDiv: v.i = b.i == 0 ? 0 : a.i / b.i; break;  // eBPF-style
-      case BinOp::kMod: v.i = b.i == 0 ? 0 : a.i % b.i; break;
+      case BinOp::kAdd: v.i = arith::add(a.i, b.i); break;
+      case BinOp::kSub: v.i = arith::sub(a.i, b.i); break;
+      case BinOp::kMul: v.i = arith::mul(a.i, b.i); break;
+      case BinOp::kDiv: v.i = arith::div(a.i, b.i); break;
+      case BinOp::kMod: v.i = arith::mod(a.i, b.i); break;
       case BinOp::kLt: v.type = Type::kBool; v.i = a.i < b.i; break;
       case BinOp::kGt: v.type = Type::kBool; v.i = a.i > b.i; break;
       case BinOp::kLe: v.type = Type::kBool; v.i = a.i <= b.i; break;

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "lang/ast.hpp"
+#include "runtime/arith.hpp"
 
 namespace progmp::rt {
 
@@ -70,5 +71,28 @@ struct IrProgram {
 /// True if the instruction has no side effect and its result, when unused,
 /// can be removed.
 bool ir_is_pure(IrOp op);
+
+/// `a <op> b` as kBin/kBinImm compute it, for the executor and the constant
+/// folder alike: arithmetic wraps (runtime/arith.hpp), comparisons and
+/// logic yield 0 or 1.
+inline std::int64_t eval_bin(lang::BinOp op, std::int64_t a, std::int64_t b) {
+  using lang::BinOp;
+  switch (op) {
+    case BinOp::kAdd: return arith::add(a, b);
+    case BinOp::kSub: return arith::sub(a, b);
+    case BinOp::kMul: return arith::mul(a, b);
+    case BinOp::kDiv: return arith::div(a, b);
+    case BinOp::kMod: return arith::mod(a, b);
+    case BinOp::kLt: return a < b;
+    case BinOp::kGt: return a > b;
+    case BinOp::kLe: return a <= b;
+    case BinOp::kGe: return a >= b;
+    case BinOp::kEq: return a == b;
+    case BinOp::kNe: return a != b;
+    case BinOp::kAnd: return (a != 0 && b != 0) ? 1 : 0;
+    case BinOp::kOr: return (a != 0 || b != 0) ? 1 : 0;
+  }
+  return 0;
+}
 
 }  // namespace progmp::rt

@@ -5,29 +5,6 @@
 #include "core/check.hpp"
 
 namespace progmp::rt {
-namespace {
-
-std::int64_t eval_bin(lang::BinOp op, std::int64_t a, std::int64_t b) {
-  using lang::BinOp;
-  switch (op) {
-    case BinOp::kAdd: return a + b;
-    case BinOp::kSub: return a - b;
-    case BinOp::kMul: return a * b;
-    case BinOp::kDiv: return b == 0 ? 0 : a / b;  // eBPF-style div-by-zero
-    case BinOp::kMod: return b == 0 ? 0 : a % b;
-    case BinOp::kLt: return a < b;
-    case BinOp::kGt: return a > b;
-    case BinOp::kLe: return a <= b;
-    case BinOp::kGe: return a >= b;
-    case BinOp::kEq: return a == b;
-    case BinOp::kNe: return a != b;
-    case BinOp::kAnd: return (a != 0 && b != 0) ? 1 : 0;
-    case BinOp::kOr: return (a != 0 || b != 0) ? 1 : 0;
-  }
-  return 0;
-}
-
-}  // namespace
 
 IrExecutable::IrExecutable(const IrProgram& program) {
   // First pass: map each label to the index the instruction after it will
@@ -80,7 +57,7 @@ std::int64_t IrExecutable::run(SchedulerEnv& env, std::int64_t fuel) {
         r(inst.dst) = eval_bin(inst.bin_op, r(inst.a), inst.imm);
         break;
       case IrOp::kNeg:
-        r(inst.dst) = -r(inst.a);
+        r(inst.dst) = arith::neg(r(inst.a));
         break;
       case IrOp::kNot:
         r(inst.dst) = r(inst.a) == 0 ? 1 : 0;

@@ -9,27 +9,6 @@
 namespace progmp::rt {
 namespace {
 
-std::optional<std::int64_t> fold_bin(lang::BinOp op, std::int64_t a,
-                                     std::int64_t b) {
-  using lang::BinOp;
-  switch (op) {
-    case BinOp::kAdd: return a + b;
-    case BinOp::kSub: return a - b;
-    case BinOp::kMul: return a * b;
-    case BinOp::kDiv: return b == 0 ? 0 : a / b;
-    case BinOp::kMod: return b == 0 ? 0 : a % b;
-    case BinOp::kLt: return a < b ? 1 : 0;
-    case BinOp::kGt: return a > b ? 1 : 0;
-    case BinOp::kLe: return a <= b ? 1 : 0;
-    case BinOp::kGe: return a >= b ? 1 : 0;
-    case BinOp::kEq: return a == b ? 1 : 0;
-    case BinOp::kNe: return a != b ? 1 : 0;
-    case BinOp::kAnd: return (a != 0 && b != 0) ? 1 : 0;
-    case BinOp::kOr: return (a != 0 || b != 0) ? 1 : 0;
-  }
-  return std::nullopt;
-}
-
 /// Block-local constant propagation. Knowledge is discarded at labels (the
 /// only join points) so values defined on other paths — including loop
 /// back-edges — are never assumed constant.
@@ -57,22 +36,20 @@ void fold_constants(IrProgram& p) {
         const auto a = known.find(inst.a);
         const auto b = known.find(inst.b);
         if (a != known.end() && b != known.end()) {
-          if (auto v = fold_bin(inst.bin_op, a->second, b->second)) {
-            inst = IrInst{IrOp::kConst, inst.dst, -1, -1, *v};
-            known[inst.dst] = *v;
-            break;
-          }
+          const std::int64_t v = eval_bin(inst.bin_op, a->second, b->second);
+          inst = IrInst{IrOp::kConst, inst.dst, -1, -1, v};
+          known[inst.dst] = v;
+          break;
         }
         known.erase(inst.dst);
         break;
       }
       case IrOp::kBinImm: {
         if (auto it = known.find(inst.a); it != known.end()) {
-          if (auto v = fold_bin(inst.bin_op, it->second, inst.imm)) {
-            inst = IrInst{IrOp::kConst, inst.dst, -1, -1, *v};
-            known[inst.dst] = *v;
-            break;
-          }
+          const std::int64_t v = eval_bin(inst.bin_op, it->second, inst.imm);
+          inst = IrInst{IrOp::kConst, inst.dst, -1, -1, v};
+          known[inst.dst] = v;
+          break;
         }
         known.erase(inst.dst);
         break;
@@ -81,7 +58,7 @@ void fold_constants(IrProgram& p) {
       case IrOp::kNot: {
         if (auto it = known.find(inst.a); it != known.end()) {
           const std::int64_t v = inst.op == IrOp::kNeg
-                                     ? -it->second
+                                     ? arith::neg(it->second)
                                      : (it->second == 0 ? 1 : 0);
           inst = IrInst{IrOp::kConst, inst.dst, -1, -1, v};
           known[inst.dst] = v;

@@ -42,7 +42,9 @@ void expect_matches(const PacketQueue& queue,
   // the flag agrees with membership.
   for (const SkbPtr& skb : reference) {
     EXPECT_TRUE(queue.contains(skb.get()));
-    if (tracked) EXPECT_TRUE(skb->in_q);
+    if (tracked) {
+      EXPECT_TRUE(skb->in_q);
+    }
   }
 
   // The queue's own audit (index round-trip, byte-total recompute) must

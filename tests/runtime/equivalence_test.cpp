@@ -6,7 +6,9 @@
 // environments interchangeable (§4.1).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "../testutil.hpp"
 #include "core/rng.hpp"
@@ -191,6 +193,38 @@ const char* kConstructSpecs[] = {
 
 INSTANTIATE_TEST_SUITE_P(Constructs, ConstructEquivalence,
                          ::testing::ValuesIn(kConstructSpecs));
+
+// Arithmetic at the int64 edges wraps identically on every backend
+// (runtime/arith.hpp): INT64_MIN / -1 and % -1 must neither trap nor
+// differ, and overflow wraps instead of being undefined. Operands come once
+// from registers, so the optimizer cannot fold them, and once as literals,
+// so it does.
+TEST(ArithmeticEdgeEquivalence, AllBackendsWrapIdentically) {
+  const std::vector<std::int64_t> want = {INT64_MIN, 0, INT64_MIN, -2,
+                                          INT64_MIN};
+  const char* from_registers =
+      "PRINT(R1 / R2); PRINT(R1 % R2); PRINT(R3 + R4); PRINT(R3 * R5);"
+      "PRINT(-R1);";
+  const char* literals =
+      "PRINT((-9223372036854775807 - 1) / -1);"
+      "PRINT((-9223372036854775807 - 1) % -1);"
+      "PRINT(9223372036854775807 + 1);"
+      "PRINT(9223372036854775807 * 2);"
+      "PRINT(-(-9223372036854775807 - 1));";
+  for (const char* spec : {from_registers, literals}) {
+    for (const Backend backend :
+         {Backend::kInterpreter, Backend::kCompiled, Backend::kEbpf}) {
+      FakeEnv env;
+      env.registers = {INT64_MIN, -1, INT64_MAX, 1, 2, 0, 0, 0};
+      auto program = must_load(spec, backend);
+      std::vector<std::int64_t> prints;
+      program->set_print_fn([&](std::int64_t v) { prints.push_back(v); });
+      auto ctx = env.ctx();
+      program->schedule(ctx);
+      EXPECT_EQ(prints, want) << rt::backend_name(backend) << "\n" << spec;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace progmp

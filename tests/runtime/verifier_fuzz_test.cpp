@@ -25,6 +25,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "../testutil.hpp"
@@ -60,6 +61,22 @@ std::string render(const VerifyResult& v) {
   std::string out;
   for (const VerifyDiag& d : v.diags) out += "  " + d.str() + "\n";
   return out;
+}
+
+/// Runs `code` in a fixed model environment: 3 subflows and small queues,
+/// inside absint's environment model (at most 8 subflows, queues of at
+/// most 1024 packets), so the model covers everything the VM will see.
+Vm::RunResult run_in_model_env(const Code& code) {
+  FakeEnv env;
+  env.add_subflow("a", 10'000);
+  env.add_subflow("b", 40'000);
+  env.add_subflow("c", 25'000);
+  for (int i = 0; i < 5; ++i) env.add_packet(mptcp::QueueId::kQ);
+  for (int i = 0; i < 2; ++i) env.add_packet(mptcp::QueueId::kRq);
+  auto ctx = env.ctx();
+  SchedulerEnv senv(ctx);
+  Vm vm;
+  return vm.run(code, senv);
 }
 
 // ---- Regression corpus: one program per rejection class ---------------------
@@ -321,6 +338,196 @@ TEST(VerifierAbsintTest, ReportsAllViolationsWithInstructionIndices) {
   EXPECT_NE(std::find(pcs.begin(), pcs.end(), 2u), pcs.end()) << render(v);
 }
 
+TEST(VerifierAbsintTest, AcceptsInt64MinDividedByMinusOneAndRunsClean) {
+  // INT64_MIN / -1 overflows; computed natively it traps (SIGFPE on x86)
+  // and took the host process down with it. The VM defines the result as
+  // INT64_MIN, so the verified program must run to EXIT.
+  const Code code = {
+      {Op::kMovImm, 6, 0, 0, INT64_MIN},  // 0: r6 = INT64_MIN
+      {Op::kMovImm, 7, 0, 0, -1},         // 1: r7 = -1
+      {Op::kDivReg, 6, 7, 0, 0},          // 2: r6 /= r7
+      {Op::kMovImm, 0, 0, 0, 0},          // 3: r0 = 0
+      {Op::kExit},                        // 4
+  };
+  const VerifyResult v = verify(code);
+  ASSERT_TRUE(v.ok) << render(v);
+  EXPECT_EQ(v.derived_insn_bound, 5);
+  const Vm::RunResult run = run_in_model_env(code);
+  EXPECT_TRUE(run.ok) << run.error;
+  EXPECT_EQ(run.insns_executed, 5);
+}
+
+TEST(VerifierAbsintTest, BuiltinVerdictsAndBoundsArePinned) {
+  // Every built-in verifies, with exactly these worst-case instruction
+  // counts under the environment model. A verifier change that moves one
+  // changes what the verifier proves, not just how fast it proves it.
+  const std::vector<std::pair<std::string, std::int64_t>> want = {
+      {"minrtt", 5'124},
+      {"roundrobin", 1'085},
+      {"redundant", 339'557},
+      {"opportunistic_redundant", 1'564},
+      {"redundant_if_no_q", 340'389},
+      {"compensating", 339'950},
+      {"selective_compensation", 340'806},
+      {"tap", 2'739},
+      {"target_rtt", 2'688},
+      {"target_deadline", 2'278},
+      {"handover_aware", 35'189},
+      {"http2_aware", 2'407},
+      {"probing", 2'004},
+      {"opportunistic_retransmit", 34'812},
+      {"backup_redundant", 495'232},
+  };
+  ASSERT_EQ(want.size(), sched::specs::all_specs().size());
+  std::int64_t total = 0;
+  for (const auto& [name, bound] : want) {
+    const auto spec = sched::specs::find_spec(name);
+    ASSERT_TRUE(spec.has_value()) << name;
+    DiagSink diags;
+    lang::Program p = lang::parse(spec->source, name, diags);
+    ASSERT_TRUE(diags.ok() && lang::analyze(p, diags)) << name;
+    const CompileResult compiled = compile(optimize(lower(p)));
+    ASSERT_TRUE(compiled.ok) << name;
+    const VerifyResult v = verify(compiled.code);
+    EXPECT_TRUE(v.ok) << name << "\n" << render(v);
+    EXPECT_EQ(v.derived_insn_bound, bound) << name;
+    total += v.derived_insn_bound;
+  }
+  EXPECT_EQ(total, 1'945'824);
+}
+
+// ---- State layout: registers plus only the stack slots LDX/STX touch --------
+
+TEST(VerifierAbsintTest, ProvesLoopWithoutAnyStackAccess) {
+  Code code = {
+      {Op::kMovImm, 6, 0, 0, 0},    // 0: r6 = 0
+      {Op::kJsgeImm, 6, 0, 2, 4},   // 1: loop head: if r6 >= 4 goto 4
+      {Op::kAddImm, 6, 0, 0, 1},    // 2: r6 += 1
+      {Op::kJa, 0, 0, -3, 0},       // 3: goto 1
+      {Op::kMovReg, 0, 6, 0, 0},    // 4: r0 = r6
+      {Op::kExit},                  // 5
+  };
+  const VerifyResult v = verify(code);
+  ASSERT_TRUE(v.ok) << render(v);
+  // Five trips bound the loop: pcs 1-3 run at most six times each.
+  EXPECT_EQ(v.derived_insn_bound, 3 + 3 * 6);
+  const Vm::RunResult run = run_in_model_env(code);
+  EXPECT_TRUE(run.ok) << run.error;
+  EXPECT_LE(run.insns_executed, v.derived_insn_bound);
+}
+
+TEST(VerifierAbsintTest, TracksLowestAndHighestStackSlotsApart) {
+  // r10-8 and r10-2048 are the two ends of the frame. Each keeps its own
+  // value: the queue id read back from r10-2048 is proven in range, the one
+  // from r10-8 is not.
+  const Insn queue_len = {Op::kCall, 0, 0, 0,
+                          static_cast<std::int64_t>(Helper::kQueueLen)};
+  auto program = [&](std::int64_t id_at_8) {
+    return Code{
+        {Op::kMovImm, 1, 0, 0, id_at_8},  // 0
+        {Op::kStxDw, 10, 1, -8, 0},       // 1: [r10-8] = id_at_8
+        {Op::kMovImm, 1, 0, 0, 2},        // 2
+        {Op::kStxDw, 10, 1, -2048, 0},    // 3: [r10-2048] = 2
+        {Op::kLdxDw, 1, 10, -2048, 0},    // 4
+        queue_len,                        // 5: QUEUE_LEN(2)
+        {Op::kLdxDw, 1, 10, -8, 0},       // 6
+        queue_len,                        // 7: QUEUE_LEN(id_at_8)
+        {Op::kMovImm, 0, 0, 0, 0},        // 8
+        {Op::kExit},                      // 9
+    };
+  };
+  const Code in_range = program(1);
+  const VerifyResult ok = verify(in_range);
+  EXPECT_TRUE(ok.ok) << render(ok);
+  EXPECT_EQ(ok.derived_insn_bound, 10);
+  EXPECT_TRUE(run_in_model_env(in_range).ok);
+
+  const VerifyResult bad = verify(program(7));
+  EXPECT_FALSE(bad.ok);
+  ASSERT_EQ(bad.diags.size(), 1u) << render(bad);
+  EXPECT_EQ(bad.diags[0].str(),
+            "insn 7: queue id argument r1 in [7, 7] not provably inside "
+            "[0, 2]");
+}
+
+/// `r0 = 0`, `jumps` x `ja +0` (each makes the next insn a block head),
+/// `exit`: jumps + 1 basic blocks.
+Code straight_blocks(int jumps) {
+  Code code = {{Op::kMovImm, 0, 0, 0, 0}};
+  code.insert(code.end(), static_cast<std::size_t>(jumps),
+              Insn{Op::kJa, 0, 0, 0, 0});
+  code.push_back({Op::kExit});
+  return code;
+}
+
+TEST(VerifierAbsintTest, RejectsMoreThan4096BasicBlocks) {
+  const VerifyResult at_limit = verify(straight_blocks(4095));
+  EXPECT_TRUE(at_limit.ok) << render(at_limit);
+  EXPECT_EQ(at_limit.derived_insn_bound, 4097);
+
+  const VerifyResult over = verify(straight_blocks(4096));
+  EXPECT_FALSE(over.ok);
+  ASSERT_EQ(over.diags.size(), 1u) << render(over);
+  EXPECT_EQ(over.diags[0].str(),
+            "insn 0: program too complex to verify (too many basic blocks)");
+}
+
+/// `loops` loops in a row. Each stores a fresh value into all 256 stack
+/// slots, then runs a body that adds a distinct step to every slot, twice
+/// (`r6` counts to 2). Every visit of a loop head changes all 256 slots
+/// until widening, so each loop adds ~2,048 distinct intervals to the
+/// stored states.
+Code interval_bomb(int loops) {
+  constexpr int kSlots = kStackBytes / 8;
+  Code code;
+  for (int k = 0; k < loops; ++k) {
+    code.push_back({Op::kMovImm, 6, 0, 0, 0});
+    code.push_back({Op::kMovImm, 1, 0, 0, (k + 1) * (std::int64_t{1} << 32)});
+    for (int j = 0; j < kSlots; ++j) {
+      code.push_back(
+          {Op::kStxDw, 10, 1, static_cast<std::int16_t>(-8 * (j + 1)), 0});
+    }
+    // Loop head: if r6 >= 2 leave the loop.
+    const std::size_t head = code.size();
+    code.push_back({Op::kJsgeImm, 6, 0, 3 * kSlots + 2, 2});
+    for (int j = 0; j < kSlots; ++j) {
+      const auto off = static_cast<std::int16_t>(-8 * (j + 1));
+      code.push_back({Op::kLdxDw, 1, 10, off, 0});
+      // Steps 1000 (j + 1) + 1 keep every multiple of every step distinct.
+      code.push_back({Op::kAddImm, 1, 0, 0, 1000 * (j + 1) + 1});
+      code.push_back({Op::kStxDw, 10, 1, off, 0});
+    }
+    code.push_back({Op::kAddImm, 6, 0, 0, 1});
+    const auto back = static_cast<std::int16_t>(
+        static_cast<std::int64_t>(head) -
+        static_cast<std::int64_t>(code.size()) - 1);
+    code.push_back({Op::kJa, 0, 0, back, 0});
+  }
+  code.push_back({Op::kMovImm, 0, 0, 0, 0});
+  code.push_back({Op::kExit});
+  return code;
+}
+
+TEST(VerifierAbsintTest, RejectsProgramsNeedingTooManyDistinctIntervals) {
+  // The stored states intern their intervals in one table, capped at
+  // 65,536 entries so a hostile program cannot grow it without bound. 28
+  // such loops stay under the cap and verify; 36 need more and are
+  // rejected, well inside the instruction and basic-block limits.
+  const Code small = interval_bomb(28);
+  const VerifyResult ok = verify(small);
+  EXPECT_TRUE(ok.ok) << render(ok);
+  EXPECT_TRUE(run_in_model_env(small).ok);
+
+  const Code big = interval_bomb(36);
+  ASSERT_LE(big.size(), 65536u);
+  const VerifyResult v = verify(big);
+  EXPECT_FALSE(v.ok);
+  ASSERT_EQ(v.diags.size(), 1u) << render(v);
+  EXPECT_EQ(v.diags[0].str(),
+            "insn 0: program too complex to verify (too many distinct "
+            "intervals)");
+}
+
 // ---- Differential sweep -----------------------------------------------------
 
 /// Compiles one builtin spec (cached — the sweep reuses them thousands of
@@ -405,22 +612,6 @@ Code random_program(Rng& rng) {
   return code;
 }
 
-/// Runs `code` in a fixed model environment: 3 subflows
-/// (<= model_sbf_count) and small queues (<= model_queue_len), so the
-/// absint environment model covers everything the VM will see.
-Vm::RunResult run_in_model_env(const Code& code) {
-  FakeEnv env;
-  env.add_subflow("a", 10'000);
-  env.add_subflow("b", 40'000);
-  env.add_subflow("c", 25'000);
-  for (int i = 0; i < 5; ++i) env.add_packet(mptcp::QueueId::kQ);
-  for (int i = 0; i < 2; ++i) env.add_packet(mptcp::QueueId::kRq);
-  auto ctx = env.ctx();
-  SchedulerEnv senv(ctx);
-  Vm vm;
-  return vm.run(code, senv);
-}
-
 /// True when `code` violates the verifier/VM contract: accepted at load,
 /// yet faults on the VM or overruns the derived instruction bound.
 bool reproduces_contract_violation(const Code& code) {
@@ -492,7 +683,7 @@ TEST(VerifierFuzzTest, MutatedBuiltinsNeverFaultWhenAccepted) {
   const std::vector<Code>& corpus = builtin_corpus();
   ASSERT_FALSE(corpus.empty());
   int accepted = 0;
-  for (std::uint64_t seed = 0; seed < 1500; ++seed) {
+  for (std::uint64_t seed = 0; seed < 12000; ++seed) {
     Rng rng(seed * 0x9e3779b97f4a7c15ULL + 1);
     Code code = corpus[seed % corpus.size()];
     // 0 mutations keeps the pristine builtin in the distribution — the
@@ -515,7 +706,7 @@ TEST(VerifierFuzzTest, MutatedBuiltinsNeverFaultWhenAccepted) {
 
 TEST(VerifierFuzzTest, RandomProgramsNeverFaultWhenAccepted) {
   int accepted = 0;
-  for (std::uint64_t seed = 0; seed < 3000; ++seed) {
+  for (std::uint64_t seed = 0; seed < 30000; ++seed) {
     Rng rng(seed ^ 0xfee1dead);
     const Code code = random_program(rng);
     const VerifyResult v = verify(code);
