@@ -181,10 +181,8 @@ std::string ProgmpApi::proc_dump(mptcp::MptcpConnection& conn) {
   out += buf;
   const mptcp::MptcpConnection::Config& cc = conn.config();
   std::snprintf(buf, sizeof buf,
-                "resilience: rto_death_threshold=%d revive_on_restore=%s "
-                "sched_fault_fallback=%s\n",
-                cc.rto_death_threshold, cc.revive_on_restore ? "on" : "off",
-                cc.sched_fault_fallback ? "on" : "off");
+                "resilience: rto_death_threshold=%d revival_min_uptime=%s\n",
+                cc.rto_death_threshold, cc.revival_min_uptime.str().c_str());
   out += buf;
   // Only rendered once the host's quarantine manager has touched this
   // connection — quarantine-off dumps stay byte-identical to the seed.
@@ -195,11 +193,9 @@ std::string ProgmpApi::proc_dump(mptcp::MptcpConnection& conn) {
     out += buf;
   }
   std::snprintf(buf, sizeof buf,
-                "path_health: probe_revival=%s probe_interval=%s "
-                "probe_required_acks=%d keepalive_idle=%s stall_timeout=%s "
-                "stall_rescue=%s\n",
+                "path_health: probe_revival=%s keepalive_idle=%s "
+                "stall_timeout=%s stall_rescue=%s\n",
                 cc.probe_revival ? "on" : "off",
-                cc.probe_interval.str().c_str(), cc.probe_required_acks,
                 cc.keepalive_idle.str().c_str(),
                 cc.stall_timeout.str().c_str(),
                 cc.stall_rescue ? "on" : "off");
@@ -209,15 +205,11 @@ std::string ProgmpApi::proc_dump(mptcp::MptcpConnection& conn) {
   }
   const mptcp::Receiver& rx = conn.receiver();
   std::snprintf(buf, sizeof buf,
-                "rwnd: window_update_subflow=%d zero_window_probe=%s "
-                "probes=%lld persist_armed=%s updates_routed=%lld "
+                "rwnd: probes=%lld persist_armed=%s "
                 "recv_buf_drops=%lld dups_net=%lld dups_dsack=%lld "
                 "buf_target=%lld buf_limit=%lld autotune=%s\n",
-                cc.window_update_subflow,
-                cc.zero_window_probe ? "on" : "off",
                 static_cast<long long>(conn.zero_window_probes()),
                 conn.persist_armed() ? "yes" : "no",
-                static_cast<long long>(conn.wnd_updates_routed()),
                 static_cast<long long>(rx.recv_buf_drops()),
                 static_cast<long long>(rx.network_dup_segments()),
                 static_cast<long long>(rx.dsack_dup_segments()),

@@ -67,64 +67,6 @@ class ProgmpApi {
     conn.write(bytes, props);
   }
 
-  // ---- Resilience knobs ---------------------------------------------------
-  /// Consecutive-RTO threshold after which a subflow is declared dead and
-  /// its stranded packets are rescheduled on the surviving subflows (0
-  /// disables — the default).
-  static void set_rto_death_threshold(mptcp::MptcpConnection& conn,
-                                      int threshold) {
-    conn.set_rto_death_threshold(threshold);
-  }
-  /// Whether a failed subflow is revived when its data link comes back.
-  static void set_revive_on_restore(mptcp::MptcpConnection& conn, bool on) {
-    conn.set_revive_on_restore(on);
-  }
-  /// Whether a scheduler-program runtime fault falls back to the built-in
-  /// default scheduler for that trigger (recommended; on by default).
-  static void set_sched_fault_fallback(mptcp::MptcpConnection& conn, bool on) {
-    conn.set_sched_fault_fallback(on);
-  }
-
-  // ---- Path health / watchdog knobs ---------------------------------------
-  /// Probe-proven revival: a failed subflow comes back only after answering
-  /// `probe_required_acks` keepalive probes with sane RTTs (off by default —
-  /// the trust-the-link-restore behaviour).
-  static void set_probe_revival(mptcp::MptcpConnection& conn, bool on) {
-    conn.set_probe_revival(on);
-  }
-  /// Idle keepalives: probe an established-but-idle subflow every `idle`;
-  /// `misses` consecutive unanswered probes declare it dead. idle=0 disables.
-  static void set_keepalive(mptcp::MptcpConnection& conn, TimeNs idle,
-                            int misses = 2) {
-    conn.set_keepalive(idle, misses);
-  }
-  /// Connection-liveness watchdog: declare (and trace) a meta-level stall
-  /// when delivered bytes make no progress for `timeout` while packets are
-  /// outstanding and a subflow is established. 0 disables.
-  static void set_stall_timeout(mptcp::MptcpConnection& conn, TimeNs timeout) {
-    conn.set_stall_timeout(timeout);
-  }
-  /// On a declared stall, force-reinject the oldest in-flight packet so the
-  /// scheduler retransmits it on another subflow.
-  static void set_stall_rescue(mptcp::MptcpConnection& conn, bool on) {
-    conn.set_stall_rescue(on);
-  }
-
-  // ---- Receive-window hardening knobs -------------------------------------
-  /// Route window updates over a real subflow's reverse link (they then pay
-  /// delay, queueing and loss like any ACK) instead of the seed's lossless
-  /// side channel. -1 restores the side channel.
-  static void set_window_update_subflow(mptcp::MptcpConnection& conn,
-                                        int slot) {
-    conn.set_window_update_subflow(slot);
-  }
-  /// RFC 9293 §3.8.6.1 persist timer: while rwnd-blocked with nothing in
-  /// flight, send zero-window probes on exponential backoff so a lost
-  /// window update cannot deadlock the connection (off by default).
-  static void set_zero_window_probe(mptcp::MptcpConnection& conn, bool on) {
-    conn.set_zero_window_probe(on);
-  }
-
   /// Signals the end of the current flow (used by the Compensating
   /// schedulers, which watch R2).
   static void signal_flow_end(mptcp::MptcpConnection& conn) {

@@ -64,7 +64,6 @@ struct ChaosPlan {
   // across soak generations.
   std::int64_t recv_buf_bytes = 8 * 1024 * 1024;
   std::int64_t app_read_bytes_per_sec = 0;  ///< 0 = instant reader
-  int wnd_update_subflow = -1;  ///< -1 = lossless side channel, else routed
 
   // ---- Memory-pressure fleet (ChaosOptions::memory_pressure) --------------
   // Drawn after the receiver shape, again for per-seed stability. Empty /
@@ -106,12 +105,10 @@ struct ChaosOptions {
   bool stall_rescue = true;
 
   // ---- Receive-window hardening -------------------------------------------
-  /// Randomize the receiver shape per seed — recv_buf size, app-read rate,
-  /// window-update routing (lossless side channel vs either real reverse
-  /// link) — and arm recv-buf enforcement, SWS window-update coalescing and
-  /// the zero-window persist timer. The app-read rate choices stay above
-  /// the CBR write rate so the stream remains drainable and final delivery
-  /// stays assertable.
+  /// Randomize the receiver shape per seed — recv_buf size and app-read
+  /// rate — and arm recv-buf enforcement and SWS window-update coalescing.
+  /// The app-read rate choices stay above the CBR write rate so the stream
+  /// remains drainable and final delivery stays assertable.
   bool harden_receiver = true;
   /// When positive, overrides the plan's drawn recv_buf_bytes — the CI
   /// small-buffer (256 KB) chaos variant.

@@ -71,7 +71,6 @@ mptcp::MptcpConnection::Config handover_config(int rto_death_threshold,
   mptcp::MptcpConnection::Config cfg =
       mobile_config(/*lte_backup_flag=*/true, wifi_mbps, lte_mbps);
   cfg.rto_death_threshold = rto_death_threshold;
-  cfg.revive_on_restore = true;
   return cfg;
 }
 
@@ -149,7 +148,6 @@ mptcp::MptcpConnection::Config fleet_handover_config(int rto_death_threshold,
   mptcp::MptcpConnection::Config cfg =
       fleet_user_config(/*lte_backup_flag=*/true);
   cfg.rto_death_threshold = rto_death_threshold;
-  cfg.revive_on_restore = true;
   cfg.revival_min_uptime = revival_min_uptime;
   return cfg;
 }

@@ -52,18 +52,16 @@ MptcpConnection::MptcpConnection(sim::Simulator& sim, Config cfg, Rng rng)
     create_subflow(spec);
   }
   if (cfg_.probe_revival || cfg_.keepalive_idle > TimeNs{0}) {
-    ensure_path_health();
+    health_ = std::make_unique<PathHealthMonitor>(sim_, *this);
+    for (int s = 0; s < subflow_count(); ++s) health_->on_subflow_attached(s);
   }
-  if (cfg_.stall_timeout > TimeNs{0}) arm_watchdog();
+  if (cfg_.stall_timeout > TimeNs{0}) {
+    wd_last_progress_at_ = sim_.now();
+    schedule_watchdog_poll();
+  }
 }
 
 MptcpConnection::~MptcpConnection() = default;
-
-void MptcpConnection::ensure_path_health() {
-  if (health_ != nullptr) return;
-  health_ = std::make_unique<PathHealthMonitor>(sim_, *this);
-  for (int s = 0; s < subflow_count(); ++s) health_->on_subflow_attached(s);
-}
 
 std::unique_ptr<tcp::CongestionControl> MptcpConnection::make_cc() {
   switch (cfg_.cc) {
@@ -181,8 +179,7 @@ int MptcpConnection::create_subflow(const SubflowSpec& spec) {
     // starve the backup-subflow failover. With probe_revival the monitor
     // owns revival: fail_subflow() above already started probing the (up)
     // path, which subsumes the amnesty with an actual end-to-end proof.
-    if (!cfg_.probe_revival && cfg_.revive_on_restore &&
-        restore_amnesty_[static_cast<std::size_t>(s)] &&
+    if (!cfg_.probe_revival && restore_amnesty_[static_cast<std::size_t>(s)] &&
         path(s).forward.is_up()) {
       restore_amnesty_[static_cast<std::size_t>(s)] = false;
       schedule_revival_check(s, std::max(cfg_.revival_min_uptime, TimeNs{0}));
@@ -342,7 +339,6 @@ void MptcpConnection::on_path_state(int slot, bool up) {
     if (health_ != nullptr) health_->on_link_restored(slot);
     return;
   }
-  if (!cfg_.revive_on_restore) return;
   if (subflows_[static_cast<std::size_t>(slot)]->state() ==
       SubflowSender::State::kEstablished) {
     // The subflow survived the outage so far, but its RTO spiral may still
@@ -368,7 +364,7 @@ void MptcpConnection::schedule_revival_check(int slot, TimeNs delay) {
     if (guard.expired()) return;
     if (link_down_epoch_[static_cast<std::size_t>(slot)] != epoch) return;
     if (!path(slot).forward.is_up()) return;
-    if (cfg_.revive_on_restore) revive_subflow(slot);
+    revive_subflow(slot);
   });
 }
 
@@ -385,64 +381,24 @@ void MptcpConnection::revive_subflow(int slot, bool probe_proven) {
   trigger({TriggerKind::kSubflowAdded, slot});
 }
 
-void MptcpConnection::set_rto_death_threshold(int threshold) {
-  cfg_.rto_death_threshold = threshold;
-  for (auto& sbf : subflows_) sbf->set_rto_death_threshold(threshold);
-}
-
-void MptcpConnection::set_probe_revival(bool on) {
-  const bool was = cfg_.probe_revival;
-  cfg_.probe_revival = on;
-  if (on && !was) {
-    ensure_path_health();
-    // Subflows that failed before the switch start being probed right away
-    // (ensure_path_health covers them only when it created the monitor now).
-    for (int s = 0; s < subflow_count(); ++s) {
-      if (subflows_[static_cast<std::size_t>(s)]->state() ==
-          SubflowSender::State::kFailed) {
-        health_->on_subflow_failed(s);
-      }
-    }
-  } else if (!on && was && health_ != nullptr) {
-    health_->stop_all_probing();
+int MptcpConnection::carrier_subflow() const {
+  for (int s = 0; s < subflow_count(); ++s) {
+    if (subflows_[static_cast<std::size_t>(s)]->established()) return s;
   }
-}
-
-void MptcpConnection::set_keepalive(TimeNs idle, int misses) {
-  cfg_.keepalive_idle = idle;
-  cfg_.keepalive_misses = misses;
-  if (idle > TimeNs{0}) ensure_path_health();
-  // Re-arm (or, with idle<=0, cancel) the keepalive timers under the new
-  // config — the pending timers carry the old cadence.
-  if (health_ != nullptr) health_->refresh_keepalives();
+  return -1;
 }
 
 void MptcpConnection::deliver_window_update(std::int64_t wnd_stamp,
                                             std::int64_t rwnd) {
-  const int slot = cfg_.window_update_subflow;
-  if (slot >= 0 && slot < subflow_count()) {
-    // Routed: the update rides the subflow's real reverse link as a pure
-    // ACK — it queues behind other ACKs, pays serialization and delay, and
-    // dies in blackouts, drops or a full queue like anything on the wire.
-    ++wnd_updates_routed_;
-    std::weak_ptr<int> guard{alive_};
-    paths_[static_cast<std::size_t>(slot)]->reverse.send(
-        SubflowSender::kAckBytes, nullptr, [this, guard, wnd_stamp, rwnd] {
-          if (guard.expired()) return;
-          ++wnd_updates_delivered_;
-          apply_window_update(wnd_stamp, rwnd);
-        });
-    return;
-  }
-  // Seed side channel: a window update travels back like an ACK; model it
-  // with the first subflow's reverse-path delay, immune to loss.
-  const TimeNs delay = paths_.empty() ? TimeNs{0}
-                                      : paths_.front()->reverse.config().delay;
+  const int slot = carrier_subflow();
+  if (slot < 0) return;
   std::weak_ptr<int> guard{alive_};
-  sim_.schedule_after(delay, [this, guard, wnd_stamp, rwnd] {
-    if (guard.expired()) return;
-    apply_window_update(wnd_stamp, rwnd);
-  });
+  paths_[static_cast<std::size_t>(slot)]->reverse.send(
+      SubflowSender::kAckBytes, nullptr, [this, guard, wnd_stamp, rwnd] {
+        if (guard.expired()) return;
+        ++wnd_updates_delivered_;
+        apply_window_update(wnd_stamp, rwnd);
+      });
 }
 
 void MptcpConnection::apply_window_update(std::int64_t wnd_stamp,
@@ -470,18 +426,17 @@ void MptcpConnection::apply_window(std::int64_t wnd_stamp, std::int64_t rwnd) {
   }
 }
 
-void MptcpConnection::set_zero_window_probe(bool on) {
-  cfg_.zero_window_probe = on;
-  if (on) {
-    maybe_arm_persist();
-  } else if (persist_armed_) {
-    persist_armed_ = false;
-    persist_backoff_ = 1;
-    ++persist_epoch_;  // cancels the pending probe chain
-  }
-}
-
 bool MptcpConnection::rwnd_blocked() const {
+  // Free window for the next packet, tested first: it is O(1) and settles
+  // the common case at every engine drain. Reinjections sit below the
+  // transmitted right edge and always fit, so RQ alone never counts as
+  // window-blocked.
+  const std::int64_t claimed =
+      static_cast<std::int64_t>(right_edge_bytes_ - meta_una_bytes_);
+  const std::int64_t need =
+      queues_.q.empty() ? subflows_.front()->config().mss
+                        : queues_.q.front()->size;
+  if (rwnd_ - claimed >= need) return false;
   bool any_established = false;
   std::int64_t in_flight = 0;
   bool pending = !queues_.q.empty();
@@ -492,26 +447,12 @@ bool MptcpConnection::rwnd_blocked() const {
   }
   // With data in flight the ACK clock (or the RTO) still runs — the persist
   // timer only covers the state where no other timer will ever fire.
-  if (!any_established || !pending || in_flight > 0) return false;
-  // Free window for the next packet. Reinjections sit below the transmitted
-  // right edge and always fit, so RQ alone never counts as window-blocked.
-  const std::int64_t claimed =
-      static_cast<std::int64_t>(right_edge_bytes_ - meta_una_bytes_);
-  const std::int64_t need =
-      queues_.q.empty() ? subflows_.front()->config().mss
-                        : queues_.q.front()->size;
-  return rwnd_ - claimed < need;
+  return any_established && pending && in_flight == 0;
 }
 
 void MptcpConnection::maybe_arm_persist() {
-  if (!cfg_.zero_window_probe) return;
   if (!rwnd_blocked()) {
-    if (persist_armed_) {
-      // The window opened (or the data drained): cancel the probe chain.
-      persist_armed_ = false;
-      persist_backoff_ = 1;
-      ++persist_epoch_;
-    }
+    cancel_persist_chain();  // the window opened (or the data drained)
     return;
   }
   if (persist_armed_) return;
@@ -524,26 +465,18 @@ void MptcpConnection::maybe_arm_persist() {
 }
 
 void MptcpConnection::schedule_persist_probe(std::uint64_t epoch) {
-  TimeNs delay{cfg_.persist_interval.ns() * persist_backoff_};
-  if (delay > cfg_.persist_interval_max) delay = cfg_.persist_interval_max;
+  const TimeNs delay =
+      std::min(kPersistInterval * persist_backoff_, kPersistIntervalMax);
   std::weak_ptr<int> guard{alive_};
   sim_.schedule_after(delay, [this, guard, epoch] {
     if (guard.expired()) return;
     if (epoch != persist_epoch_) return;  // chain was cancelled
     if (!rwnd_blocked()) {
-      persist_armed_ = false;
-      persist_backoff_ = 1;
-      ++persist_epoch_;
+      cancel_persist_chain();
       return;
     }
-    // Probe on the first established subflow; with none alive keep the
-    // chain ticking — a revival re-establishes a carrier for the probe.
-    for (int s = 0; s < subflow_count(); ++s) {
-      if (subflows_[static_cast<std::size_t>(s)]->established()) {
-        send_zero_window_probe(s);
-        break;
-      }
-    }
+    // rwnd_blocked() implies an established subflow to carry the probe.
+    send_zero_window_probe(carrier_subflow());
     persist_backoff_ = std::min(persist_backoff_ * 2, 1 << 16);
     schedule_persist_probe(epoch);
   });
@@ -574,21 +507,6 @@ void MptcpConnection::send_zero_window_probe(int slot) {
   });
 }
 
-void MptcpConnection::set_stall_timeout(TimeNs timeout) {
-  cfg_.stall_timeout = timeout;
-  // Disabling (timeout<=0) is handled by the next poll, which observes the
-  // config and stops itself.
-  if (timeout > TimeNs{0}) arm_watchdog();
-}
-
-void MptcpConnection::arm_watchdog() {
-  wd_last_delivered_ = delivered_bytes_;
-  wd_last_progress_at_ = sim_.now();
-  if (watchdog_armed_) return;
-  watchdog_armed_ = true;
-  schedule_watchdog_poll();
-}
-
 void MptcpConnection::schedule_watchdog_poll() {
   // Poll at half the stall timeout so a stall is declared at most one poll
   // period late; floor of 1 ms keeps tiny timeouts from flooding the sim.
@@ -602,10 +520,6 @@ void MptcpConnection::schedule_watchdog_poll() {
 }
 
 void MptcpConnection::watchdog_poll() {
-  if (cfg_.stall_timeout <= TimeNs{0}) {
-    watchdog_armed_ = false;  // disabled live: stop polling
-    return;
-  }
   const TimeNs now = sim_.now();
   if (delivered_bytes_ != wd_last_delivered_) {
     wd_last_delivered_ = delivered_bytes_;
@@ -724,9 +638,9 @@ bool MptcpConnection::run_scheduler_once(Trigger t) {
   last_exec_backend_ = ctx.exec_backend();
   if (ctx.faulted()) {
     // Runtime fault containment (§3.3): the faulting execution's visible
-    // effects are rolled back and — unless disabled — the built-in default
-    // scheduler handles this trigger, so a buggy program degrades service
-    // instead of stalling the connection.
+    // effects are rolled back and the built-in default scheduler handles
+    // this trigger, so a buggy program degrades service instead of stalling
+    // the connection.
     const FaultKind kind = ctx.fault_kind();
     ++sched_stats_.sched_faults;
     ++fault_counts_[static_cast<std::size_t>(kind)];
@@ -734,10 +648,8 @@ bool MptcpConnection::run_scheduler_once(Trigger t) {
                 static_cast<std::int32_t>(t.kind),
                 static_cast<std::int64_t>(kind));
     ctx.rollback();
-    if (cfg_.sched_fault_fallback) {
-      run_default_minrtt(ctx);
-      last_exec_backend_ = "fallback";
-    }
+    run_default_minrtt(ctx);
+    last_exec_backend_ = "fallback";
     // The observer runs last: it may quarantine (swap out) the scheduler,
     // which must not happen while this execution still references it.
     if (fault_observer_) fault_observer_(kind, t.kind);
@@ -940,7 +852,6 @@ void MptcpConnection::refresh_metrics() {
   *metrics_.counter("conn.stalls") = stalls_;
   *metrics_.counter("conn.stall_rescues") = stall_rescues_;
   *metrics_.counter("conn.zero_window_probes") = zero_window_probes_;
-  *metrics_.counter("conn.wnd_updates_routed") = wnd_updates_routed_;
   *metrics_.counter("conn.wnd_updates_delivered") = wnd_updates_delivered_;
   *metrics_.counter("recv.buf_drops") = receiver_->recv_buf_drops();
   *metrics_.counter("recv.window_updates_emitted") =

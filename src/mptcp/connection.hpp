@@ -96,39 +96,27 @@ class MptcpConnection {
     /// (applied to subflows whose spec leaves it at 0). 0 disables death
     /// detection — the seed behaviour, bit-identical at the same seed.
     int rto_death_threshold = 0;
-    /// Revive a failed subflow when its forward (data) link comes back up.
-    /// Only engages after a failure, so it cannot change fault-free runs.
-    bool revive_on_restore = true;
-    /// Revival hysteresis for flapping paths: the restored link must stay up
-    /// this long before revive_on_restore re-admits the subflow; another
+    /// Revival hysteresis for flapping paths: a restored forward link must
+    /// stay up this long before the failed subflow is re-admitted; another
     /// down-transition inside the window cancels the pending revival. 0 (the
     /// seed default) trusts the first up-transition immediately.
     TimeNs revival_min_uptime{0};
-    /// When a scheduler program faults at runtime (budget exhaustion, VM
-    /// error), roll its effects back and run the built-in default scheduler
-    /// for that trigger instead of silently doing nothing.
-    bool sched_fault_fallback = true;
 
     // ---- Path health (PathHealthMonitor) -----------------------------------
     /// Revival requires end-to-end proof: a failed subflow is re-admitted
-    /// only after `probe_required_acks` keepalive probes came back with sane
-    /// RTT samples. A forward-link up-transition then merely resets the
-    /// probe schedule instead of reviving directly. Off (the default) keeps
-    /// the trust-the-link revival — and seed bit-identity.
+    /// only after PathHealthMonitor::kProbeRequiredAcks keepalive probes
+    /// came back with sane RTT samples. A forward-link up-transition then
+    /// merely resets the probe schedule instead of reviving directly. Off
+    /// (the default) keeps the trust-the-link revival — and seed
+    /// bit-identity.
     bool probe_revival = false;
-    /// Initial spacing of revival probes; doubles per probe up to
-    /// probe_interval_max (reset by an up-transition or a sane echo).
-    TimeNs probe_interval = milliseconds(200);
-    TimeNs probe_interval_max = seconds(2);
-    /// Consecutive sane probe echoes required before revival.
-    int probe_required_acks = 2;
     /// When positive, an established subflow with nothing queued or in
-    /// flight is probed every `keepalive_idle`; `keepalive_misses`
-    /// consecutive unanswered keepalives declare it dead. Detects silent
-    /// blackouts on idle paths (e.g. an unused backup), which otherwise
-    /// surface only when the scheduler needs the path. 0 = off (default).
+    /// flight is probed every `keepalive_idle`;
+    /// PathHealthMonitor::kKeepaliveMisses consecutive unanswered keepalives
+    /// declare it dead. Detects silent blackouts on idle paths (e.g. an
+    /// unused backup), which otherwise surface only when the scheduler needs
+    /// the path. 0 = off (default).
     TimeNs keepalive_idle{0};
-    int keepalive_misses = 2;
 
     // ---- Connection watchdog ------------------------------------------------
     /// When positive, the connection polls for meta-level stalls: delivered
@@ -142,26 +130,6 @@ class MptcpConnection {
     /// wedges a (custom) scheduler never resolves on its own.
     bool stall_rescue = false;
 
-    // ---- Receive-window hardening -------------------------------------------
-    /// Window-update transport. -1 (the seed default) delivers app-read
-    /// window updates over a lossless side channel delayed by the first
-    /// subflow's reverse-path latency. >= 0 routes them over that subflow's
-    /// real reverse link as pure ACKs, where they queue, pay serialization
-    /// and die in blackouts or drops like anything else on the wire — an
-    /// ack_blackout can then silently close the window forever, which is
-    /// exactly what zero_window_probe below exists to survive.
-    int window_update_subflow = -1;
-    /// RFC 9293 §3.8.6.1 persist timer: when the advertised window cannot
-    /// fit the next packet, nothing is in flight (so no RTO is armed) and
-    /// data is waiting, probe the window on an exponential backoff
-    /// (persist_interval doubling up to persist_interval_max). The probe's
-    /// pure-ACK echo carries the live window, so a lost window update can
-    /// no longer deadlock the connection. Raises TriggerKind::kRwndLimited
-    /// once per blocked episode. Off = seed behaviour.
-    bool zero_window_probe = false;
-    TimeNs persist_interval = milliseconds(200);
-    TimeNs persist_interval_max = seconds(2);
-
     // ---- Middlebox-interference fallback (RFC 8684 §3.7) --------------------
     /// Arms the fallback state machine: receiver-side detection (DSS
     /// checksum validation + mapping-loss reporting; implies
@@ -172,6 +140,16 @@ class MptcpConnection {
     /// stack that wedges or delivers corrupt data under interference.
     bool middlebox_fallback = false;
   };
+
+  /// RFC 9293 §3.8.6.1 persist timer, always on: when the advertised window
+  /// cannot fit the next packet, nothing is in flight (so no RTO is armed)
+  /// and data is waiting, the window is probed on an exponential backoff
+  /// (kPersistInterval doubling up to kPersistIntervalMax). The probe's
+  /// pure-ACK echo carries the live window, so a lost window update cannot
+  /// deadlock the connection. Raises TriggerKind::kRwndLimited once per
+  /// blocked episode.
+  static constexpr TimeNs kPersistInterval = milliseconds(200);
+  static constexpr TimeNs kPersistIntervalMax = seconds(2);
 
   /// Called for every segment delivered in order to the receiving
   /// application: (meta_seq, size, delivery time).
@@ -246,33 +224,11 @@ class MptcpConnection {
   /// Revives a failed subflow: fresh sequence space on both ends, slow-start
   /// restart, and a kSubflowAdded trigger so the scheduler sees it again.
   /// No-op unless the subflow is in the failed state. Called automatically
-  /// on link restore while Config::revive_on_restore is set (or, with
-  /// Config::probe_revival, by the PathHealthMonitor once the path answered
-  /// enough sane probes; such revivals trace kSubflowRevived with a=1).
+  /// on link restore (or, with Config::probe_revival, by the
+  /// PathHealthMonitor once the path answered enough sane probes; such
+  /// revivals trace kSubflowRevived with a=1).
   void revive_subflow(int slot, bool probe_proven = false);
 
-  // ---- Resilience knobs (live reconfiguration) ----------------------------
-  /// Applies a new consecutive-RTO death threshold to all subflows (0
-  /// disables detection).
-  void set_rto_death_threshold(int threshold);
-  void set_revive_on_restore(bool on) { cfg_.revive_on_restore = on; }
-  void set_revival_min_uptime(TimeNs t) { cfg_.revival_min_uptime = t; }
-  void set_sched_fault_fallback(bool on) { cfg_.sched_fault_fallback = on; }
-  /// Live path-health reconfiguration: enabling probing or keepalives after
-  /// construction creates the monitor on demand (already-failed subflows
-  /// start being probed immediately).
-  void set_probe_revival(bool on);
-  void set_keepalive(TimeNs idle, int misses = 2);
-  /// Live watchdog reconfiguration; enabling arms the poll timer.
-  void set_stall_timeout(TimeNs timeout);
-  void set_stall_rescue(bool on) { cfg_.stall_rescue = on; }
-  /// Live receive-window hardening knobs. Routing applies from the next
-  /// window update; enabling probing arms the persist timer immediately if
-  /// the sender is already rwnd-blocked, disabling cancels a pending chain.
-  void set_window_update_subflow(int slot) {
-    cfg_.window_update_subflow = slot;
-  }
-  void set_zero_window_probe(bool on);
   [[nodiscard]] const Config& config() const { return cfg_; }
 
   /// TEST ONLY: makes fail_subflow() drop the dead subflow's stranded
@@ -349,10 +305,7 @@ class MptcpConnection {
   [[nodiscard]] std::int64_t zero_window_probes() const {
     return zero_window_probes_;
   }
-  /// Window updates routed over a real reverse link / that survived it.
-  [[nodiscard]] std::int64_t wnd_updates_routed() const {
-    return wnd_updates_routed_;
-  }
+  /// Window updates that survived their reverse-link crossing.
   [[nodiscard]] std::int64_t wnd_updates_delivered() const {
     return wnd_updates_delivered_;
   }
@@ -376,7 +329,7 @@ class MptcpConnection {
   }
 
   // ---- Path health / watchdog introspection -------------------------------
-  /// Null unless probing or keepalives are (or were) enabled.
+  /// Null unless Config::probe_revival or keepalive_idle enables it.
   [[nodiscard]] PathHealthMonitor* path_health() { return health_.get(); }
   [[nodiscard]] const PathHealthMonitor* path_health() const {
     return health_.get();
@@ -419,10 +372,6 @@ class MptcpConnection {
 
  private:
   int create_subflow(const SubflowSpec& spec);
-  /// Creates the PathHealthMonitor on demand and attaches every slot.
-  void ensure_path_health();
-  /// Arms the watchdog poll timer (idempotent; no-op while stall_timeout=0).
-  void arm_watchdog();
   void schedule_watchdog_poll();
   void watchdog_poll();
   /// Up/down observer for the forward (data) link of `slot` — drives the
@@ -440,15 +389,22 @@ class MptcpConnection {
                        std::int64_t wnd_stamp);
   void handle_loss_suspected(int slot, const SkbPtr& skb);
   void detach_everywhere(const SkbPtr& skb);
-  /// Transports an app-read window update to the sender side — over the
-  /// seed's lossless side channel or a real reverse link (Config knob).
+  /// The subflow whose links carry connection-level control segments
+  /// (window updates, zero-window probes): the first established one, or -1
+  /// with none established.
+  [[nodiscard]] int carrier_subflow() const;
+  /// Sends an app-read window update to the sender side as a pure ACK on
+  /// the carrier's real reverse link, where it queues, pays serialization
+  /// and dies in blackouts or drops like anything else on the wire. With no
+  /// carrier it is not sent; the persist timer recovers the window once a
+  /// subflow is back.
   void deliver_window_update(std::int64_t wnd_stamp, std::int64_t rwnd);
   void apply_window_update(std::int64_t wnd_stamp, std::int64_t rwnd);
   /// RFC 9293 §3.10.7.4 (WL1/WL2) staleness guard, keyed on the receiver's
   /// emission-order stamp: only a strictly newer advertisement may change
   /// the window view. Ordering by cumulative ack alone is not enough — on
   /// asymmetric paths a slow subflow's ACK arrives with a fresher meta_ack
-  /// but an older window snapshot than the side-channel updates it raced,
+  /// but an older window snapshot than the window updates it raced,
   /// and letting it win wedges the sender on a long-reopened window.
   void apply_window(std::int64_t wnd_stamp, std::int64_t rwnd);
   /// Receiver reported an unusable data-level mapping (stripped DSS option
@@ -467,10 +423,11 @@ class MptcpConnection {
   /// and a kSubflowClosed trigger. The subflow ends up kClosed: not
   /// revivable, per the single-path pin.
   void abandon_subflow(int slot);
-  /// Cancels an armed zero-window persist-probe chain (epoch bump). Called
-  /// whenever a subflow ceases to exist (close/fail/abandon) so no probe
-  /// rides a dead subflow; maybe_arm_persist() re-arms a fresh chain on a
-  /// surviving subflow at the next engine-drain boundary if still blocked.
+  /// Cancels an armed zero-window persist-probe chain (epoch bump): when
+  /// the sender is no longer window-blocked, and whenever a subflow ceases
+  /// to exist (close/fail/abandon) so no probe rides a dead subflow;
+  /// maybe_arm_persist() re-arms a fresh chain on a surviving subflow at
+  /// the next engine-drain boundary if still blocked.
   void cancel_persist_chain();
   /// True when data is waiting, nothing is in flight anywhere, and the
   /// advertised window cannot fit the next packet — the persist condition.
@@ -508,7 +465,6 @@ class MptcpConnection {
   std::unique_ptr<PathHealthMonitor> health_;
 
   // ---- Watchdog state -----------------------------------------------------
-  bool watchdog_armed_ = false;
   std::int64_t wd_last_delivered_ = 0;
   TimeNs wd_last_progress_at_{0};
   std::int64_t stalls_ = 0;
@@ -520,10 +476,9 @@ class MptcpConnection {
   // ---- Persist (zero-window probe) state ----------------------------------
   bool persist_armed_ = false;
   int persist_backoff_ = 1;  ///< interval multiplier; doubles per probe
-  /// Bumped to cancel a pending probe chain (window opened, knob flipped).
+  /// Bumped to cancel a pending probe chain (window opened, carrier gone).
   std::uint64_t persist_epoch_ = 0;
   std::int64_t zero_window_probes_ = 0;
-  std::int64_t wnd_updates_routed_ = 0;
   std::int64_t wnd_updates_delivered_ = 0;
 
   /// Last host pool pressure broadcast (0 = no pressure); see

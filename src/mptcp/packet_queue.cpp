@@ -68,10 +68,23 @@ void PacketQueue::push_back(const SkbPtr& skb) {
   place(slot_of(size_), skb);
 }
 
-void PacketQueue::push_front(const SkbPtr& skb) {
+void PacketQueue::push_front(const SkbPtr& skb) { insert(0, skb); }
+
+void PacketQueue::insert(std::size_t index, const SkbPtr& skb) {
+  PROGMP_CHECK(index <= size_);
   if (size_ == ring_.size()) grow();
-  head_ = (head_ + mask_) & mask_;  // head_ - 1 mod capacity
-  place(head_, skb);
+  // Open the gap by shifting the shorter side of the ring by one slot.
+  if (index < size_ - index) {
+    head_ = (head_ + mask_) & mask_;  // head_ - 1 mod capacity
+    for (std::size_t j = 0; j < index; ++j) {
+      move_entry(slot_of(j + 1), slot_of(j));
+    }
+  } else {
+    for (std::size_t j = size_; j > index; --j) {
+      move_entry(slot_of(j - 1), slot_of(j));
+    }
+  }
+  place(slot_of(index), skb);
 }
 
 SkbPtr PacketQueue::pop_front() {
@@ -132,6 +145,11 @@ bool PacketQueue::contains(const Skb* skb) const {
     if (ring_[slot_of(i)].get() == skb) return true;
   }
   return false;
+}
+
+std::size_t PacketQueue::index_of(const Skb* skb) const {
+  PROGMP_CHECK(tracked() && contains(skb));
+  return (skb->queue_pos[static_cast<std::size_t>(index_)] - head_) & mask_;
 }
 
 void PacketQueue::clear() {

@@ -61,6 +61,9 @@ class PacketQueue {
   void push_back(const SkbPtr& skb);
   /// Prepends `skb` (rollback restore, window-blocked hand-back).
   void push_front(const SkbPtr& skb);
+  /// Inserts `skb` at logical `index` (<= size()), the inverse of pop_at:
+  /// the shorter side of the ring shifts by one slot.
+  void insert(std::size_t index, const SkbPtr& skb);
   /// Removes and returns the front packet; nullptr when empty. Tracked mode
   /// clears the membership flag.
   SkbPtr pop_front();
@@ -72,6 +75,8 @@ class PacketQueue {
   bool erase(const Skb* skb);
   /// Membership test: O(1) (flag) in tracked mode, linear otherwise.
   [[nodiscard]] bool contains(const Skb* skb) const;
+  /// Logical index of a member of this tracked queue, O(1).
+  [[nodiscard]] std::size_t index_of(const Skb* skb) const;
   /// Drops all entries (clearing membership flags in tracked mode).
   void clear();
 

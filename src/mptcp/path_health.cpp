@@ -13,20 +13,9 @@ PathHealthMonitor::PathHealthMonitor(sim::Simulator& sim,
 
 void PathHealthMonitor::on_subflow_attached(int s) {
   Slot& st = slot(s);
-  if (st.attached) return;
   st.attached = true;
   st.baseline_rtt = conn_.path(s).base_rtt();
-  switch (conn_.subflow(s).state()) {
-    case SubflowSender::State::kEstablished:
-      start_keepalive(s);
-      break;
-    case SubflowSender::State::kFailed:
-      // Live enabling: probe_revival switched on with a subflow already down.
-      start_probing(s);
-      break;
-    case SubflowSender::State::kClosed:
-      break;
-  }
+  start_keepalive(s);
 }
 
 void PathHealthMonitor::on_subflow_failed(int s) {
@@ -68,7 +57,7 @@ void PathHealthMonitor::start_probing(int s) {
   ++st.epoch;
   ++st.chain;
   st.sane_streak = 0;
-  st.interval = std::max(conn_.config().probe_interval, TimeNs{1});
+  st.interval = kProbeInterval;
   schedule_probe(s, st.interval);
 }
 
@@ -85,7 +74,7 @@ void PathHealthMonitor::restart_schedule_now(int s) {
   Slot& st = slot(s);
   if (!st.probing) return;
   ++st.chain;
-  st.interval = std::max(conn_.config().probe_interval, TimeNs{1});
+  st.interval = kProbeInterval;
   schedule_probe(s, TimeNs{0});
 }
 
@@ -98,8 +87,7 @@ void PathHealthMonitor::schedule_probe(int s, TimeNs delay) {
     Slot& cur = slot(s);
     if (!cur.probing || cur.chain != chain) return;
     send_probe(s, /*keepalive=*/false);
-    cur.interval =
-        std::min(cur.interval * 2, conn_.config().probe_interval_max);
+    cur.interval = std::min(cur.interval * 2, kProbeIntervalMax);
     schedule_probe(s, cur.interval);
   });
 }
@@ -148,8 +136,7 @@ void PathHealthMonitor::on_probe_ack(int s, std::uint32_t epoch,
     st.sane_streak = 0;
     return;
   }
-  const int required = std::max(1, conn_.config().probe_required_acks);
-  if (++st.sane_streak >= required) {
+  if (++st.sane_streak >= kProbeRequiredAcks) {
     ++st.slot_stats.probe_revivals;
     stop_probing(s);
     conn_.revive_subflow(s, /*probe_proven=*/true);
@@ -167,21 +154,6 @@ void PathHealthMonitor::start_keepalive(int s) {
   st.keepalive_miss_streak = 0;
   if (conn_.config().keepalive_idle <= TimeNs{0}) return;
   schedule_keepalive(s);
-}
-
-void PathHealthMonitor::stop_all_probing() {
-  for (int s = 0; s < static_cast<int>(slots_.size()); ++s) {
-    if (slots_[static_cast<std::size_t>(s)].attached) stop_probing(s);
-  }
-}
-
-void PathHealthMonitor::refresh_keepalives() {
-  for (int s = 0; s < static_cast<int>(slots_.size()); ++s) {
-    if (!slots_[static_cast<std::size_t>(s)].attached) continue;
-    if (conn_.subflow(s).state() == SubflowSender::State::kEstablished) {
-      start_keepalive(s);
-    }
-  }
 }
 
 void PathHealthMonitor::schedule_keepalive(int s) {
@@ -210,8 +182,7 @@ void PathHealthMonitor::keepalive_tick(int s) {
   if (idle) {
     if (st.keepalive_outstanding) {
       st.keepalive_outstanding = false;
-      if (++st.keepalive_miss_streak >=
-          std::max(1, conn_.config().keepalive_misses)) {
+      if (++st.keepalive_miss_streak >= kKeepaliveMisses) {
         // A silently-black idle path: no RTO will ever fire for it (nothing
         // is in flight), so the keepalive is the only detector. Declare the
         // death through the normal path — harvest, reinjection, scheduler

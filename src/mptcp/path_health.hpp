@@ -5,14 +5,14 @@
 // reverse link):
 //
 //  * Revival probing — a *failed* subflow is probed on an exponential
-//    schedule (probe_interval doubling up to probe_interval_max). Revival
-//    eligibility requires `probe_required_acks` consecutive probe echoes
+//    schedule (kProbeInterval doubling up to kProbeIntervalMax). Revival
+//    eligibility requires kProbeRequiredAcks consecutive probe echoes
 //    with sane RTT samples; a link up-transition no longer revives by
 //    itself, it merely resets the schedule and probes immediately. This is
 //    the end-to-end proof the up-transition cannot give: the link observer
 //    only sees the local segment, a probe echo proves the whole round trip.
 //  * Idle keepalives — an *established* subflow with nothing queued or in
-//    flight is probed every `keepalive_idle`; `keepalive_misses` consecutive
+//    flight is probed every `keepalive_idle`; kKeepaliveMisses consecutive
 //    unanswered keepalives declare the subflow dead long before an RTO
 //    backoff spiral would (an idle subflow has no RTO pending at all, so a
 //    silent blackout is otherwise discovered only when the scheduler next
@@ -58,9 +58,8 @@ class PathHealthMonitor {
   PathHealthMonitor(sim::Simulator& sim, MptcpConnection& conn);
 
   // ---- Lifecycle notifications from the connection ------------------------
-  /// A subflow slot exists (construction or add_subflow). Starts keepalives
-  /// if the subflow is established, or revival probing if it is already
-  /// failed (live enabling of probe_revival).
+  /// A new, established subflow slot exists (construction or add_subflow):
+  /// snapshots its baseline RTT and starts keepalives.
   void on_subflow_attached(int slot);
   void on_subflow_failed(int slot);
   void on_subflow_revived(int slot);
@@ -68,13 +67,6 @@ class PathHealthMonitor {
   /// Forward-link up-transition while the subflow is failed: reset the
   /// exponential schedule and probe now — the restore is a hint, not proof.
   void on_link_restored(int slot);
-
-  // ---- Live reconfiguration ----------------------------------------------
-  /// probe_revival switched off: abandon every active probing schedule.
-  void stop_all_probing();
-  /// keepalive_idle/misses changed: re-arm keepalive timers on established
-  /// subflows under the new cadence (or cancel them when disabled).
-  void refresh_keepalives();
 
   [[nodiscard]] bool probing(int slot) const {
     return slots_[static_cast<std::size_t>(slot)].probing;
@@ -89,6 +81,14 @@ class PathHealthMonitor {
 
   /// Wire size of a probe: one bare header, zero payload.
   static constexpr std::int64_t kProbeWireBytes = 60;
+  /// Initial spacing of revival probes; doubles per probe up to
+  /// kProbeIntervalMax (reset by an up-transition or a sane echo).
+  static constexpr TimeNs kProbeInterval = milliseconds(200);
+  static constexpr TimeNs kProbeIntervalMax = seconds(2);
+  /// Consecutive sane probe echoes required before revival.
+  static constexpr int kProbeRequiredAcks = 2;
+  /// Consecutive unanswered idle keepalives that declare a subflow dead.
+  static constexpr int kKeepaliveMisses = 2;
 
  private:
   struct Slot {
@@ -113,7 +113,7 @@ class PathHealthMonitor {
   }
   void start_probing(int s);
   void stop_probing(int s);
-  /// Restarts the exponential schedule at probe_interval with an immediate
+  /// Restarts the exponential schedule at kProbeInterval with an immediate
   /// first probe (link restore, or a sane echo accelerating the proof).
   void restart_schedule_now(int s);
   void schedule_probe(int s, TimeNs delay);

@@ -29,7 +29,7 @@ SkbPtr SchedulerContext::pop(QueueId id) {
   SkbPtr skb = queues_->get(id).pop_front();
   if (skb == nullptr) return nullptr;
   popped_ = true;
-  pop_log_.push_back({id, skb});
+  undo_log_.push_back({skb, id});
   ++stats_->pops;
   if (trace_ != nullptr) {
     trace_->emit(TraceEventType::kPop, now_, -1, static_cast<std::int32_t>(id),
@@ -65,7 +65,14 @@ void SchedulerContext::drop(const SkbPtr& skb) {
   if (skb == nullptr || skb->acked || skb->dropped) {
     return;
   }
-  drop_log_.push_back({skb, skb->in_q, skb->in_qu, skb->in_rq});
+  UndoRecord& undo = undo_log_.emplace_back(UndoRecord{skb, std::nullopt});
+  for (const QueueId id : {QueueId::kQ, QueueId::kQu, QueueId::kRq}) {
+    const PacketQueue& queue = queues_->get(id);
+    if (queue.contains(skb.get())) {
+      undo.dropped_at[static_cast<std::size_t>(id)] =
+          static_cast<std::ptrdiff_t>(queue.index_of(skb.get()));
+    }
+  }
   skb->dropped = true;
   queues_->detach(skb.get());
   dropped_ = true;
@@ -77,21 +84,24 @@ void SchedulerContext::drop(const SkbPtr& skb) {
 }
 
 void SchedulerContext::rollback() {
-  // Newest effect first, so interleaved pop/drop sequences unwind cleanly
-  // (a packet popped and then dropped regains both its membership sets).
-  for (auto it = drop_log_.rbegin(); it != drop_log_.rend(); ++it) {
+  // Newest effect first: each undo then meets its queues exactly as the
+  // effect left them, so a POP goes back to the front and a DROP back to
+  // the index it left, and interleaved pop/drop sequences unwind cleanly.
+  // Tracked inserts restore the membership flags.
+  for (auto it = undo_log_.rbegin(); it != undo_log_.rend(); ++it) {
+    if (it->popped_from) {
+      queues_->get(*it->popped_from).push_front(it->skb);
+      continue;
+    }
     it->skb->dropped = false;
-    // push_front restores the membership flag (tracked queue semantics).
-    if (it->was_in_q && !it->skb->in_q) queues_->q.push_front(it->skb);
-    if (it->was_in_qu && !it->skb->in_qu) queues_->qu.push_front(it->skb);
-    if (it->was_in_rq && !it->skb->in_rq) queues_->rq.push_front(it->skb);
+    for (const QueueId id : {QueueId::kQ, QueueId::kQu, QueueId::kRq}) {
+      const std::ptrdiff_t at = it->dropped_at[static_cast<std::size_t>(id)];
+      if (at >= 0) {
+        queues_->get(id).insert(static_cast<std::size_t>(at), it->skb);
+      }
+    }
   }
-  for (auto it = pop_log_.rbegin(); it != pop_log_.rend(); ++it) {
-    if (it->skb->acked || it->skb->dropped) continue;
-    queues_->get(it->id).push_front(it->skb);
-  }
-  drop_log_.clear();
-  pop_log_.clear();
+  undo_log_.clear();
   actions_.clear();
   dropped_ = false;
   popped_ = false;

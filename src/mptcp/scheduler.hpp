@@ -7,8 +7,11 @@
 // (Fig 9) measure exactly the runtime difference.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -203,8 +206,7 @@ class SchedulerContext {
     rwnd_free_bytes_ = rwnd_free_bytes;
     below_edge_bytes_ = below_edge_bytes;
     actions_.clear();
-    pop_log_.clear();
-    drop_log_.clear();
+    undo_log_.clear();
     dropped_ = false;
     popped_ = false;
     faulted_ = false;
@@ -307,10 +309,12 @@ class SchedulerContext {
   [[nodiscard]] bool faulted() const { return faulted_; }
   [[nodiscard]] FaultKind fault_kind() const { return fault_kind_; }
 
-  /// Undoes every visible side effect of this execution: popped packets
-  /// return to the front of their queues (flags restored), dropped packets
-  /// are un-dropped and re-attached, and the deferred PUSH actions are
-  /// discarded. Afterwards the context is clean for a fallback run.
+  /// Undoes every visible side effect of this execution, newest first:
+  /// popped packets return to the front of their queues, dropped packets
+  /// are un-dropped and re-inserted where they were, so every queue's order
+  /// and membership flags are as before the execution. The deferred PUSH
+  /// actions are discarded. Afterwards the context is clean for a fallback
+  /// run.
   void rollback();
 
  private:
@@ -335,17 +339,15 @@ class SchedulerContext {
   bool faulted_ = false;
   FaultKind fault_kind_ = FaultKind::kNone;
 
-  /// Undo logs for rollback(), in action order.
-  struct PopRecord {
-    QueueId id;
+  /// Undo log for rollback(), in action order. A POP took the front of
+  /// `popped_from`; a DROP (`popped_from` empty) records the packet's index
+  /// in each meta queue it left (-1 = not a member).
+  struct UndoRecord {
     SkbPtr skb;
+    std::optional<QueueId> popped_from;
+    std::array<std::ptrdiff_t, 3> dropped_at{-1, -1, -1};
   };
-  struct DropRecord {
-    SkbPtr skb;
-    bool was_in_q, was_in_qu, was_in_rq;
-  };
-  std::vector<PopRecord> pop_log_;
-  std::vector<DropRecord> drop_log_;
+  std::vector<UndoRecord> undo_log_;
 };
 
 /// The built-in default scheduler (MinRTT with backup semantics), callable on

@@ -164,12 +164,6 @@ class SubflowSender {
   /// window. No-op unless state() == kFailed.
   void reopen();
 
-  /// Live reconfiguration of the death-detection threshold (resilience knob
-  /// on the API; 0 disables).
-  void set_rto_death_threshold(int threshold) {
-    cfg_.rto_death_threshold = threshold;
-  }
-
   [[nodiscard]] int slot() const { return slot_; }
   [[nodiscard]] const Config& config() const { return cfg_; }
   [[nodiscard]] const Stats& stats() const { return stats_; }

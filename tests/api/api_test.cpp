@@ -199,9 +199,10 @@ TEST(ApiTest, ProcDumpReportsTraceOverflowAndPathHealthKnobs) {
 
   // With the robustness stack armed, the knob line flips and the per-slot
   // monitor lines appear.
-  conn.set_probe_revival(true);
-  conn.set_stall_timeout(seconds(2));
-  const std::string armed = ProgmpApi::proc_dump(conn);
+  cfg.probe_revival = true;
+  cfg.stall_timeout = seconds(2);
+  mptcp::MptcpConnection armed_conn(sim, cfg, Rng(8));
+  const std::string armed = ProgmpApi::proc_dump(armed_conn);
   EXPECT_NE(armed.find("path_health: probe_revival=on"), std::string::npos);
   EXPECT_NE(armed.find("path_health: sbf0"), std::string::npos);
 }

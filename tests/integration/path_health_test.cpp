@@ -41,7 +41,7 @@ sim::Link::GilbertElliott total_loss() {
 
 TEST(PathHealthTest, ProbeRevivalRequiresAnsweredProbes) {
   // Ordinary blackout with probing on: the restore no longer revives by
-  // itself — the subflow comes back only after probe_required_acks sane
+  // itself — the subflow comes back only after kProbeRequiredAcks sane
   // echoes, and the revival trace marks it probe-proven (a=1).
   sim::Simulator sim;
   mptcp::MptcpConnection::Config cfg =
@@ -70,7 +70,7 @@ TEST(PathHealthTest, ProbeRevivalRequiresAnsweredProbes) {
   ASSERT_NE(conn.path_health(), nullptr);
   const mptcp::PathHealthMonitor::SlotStats& ph = conn.path_health()->stats(0);
   EXPECT_GT(ph.probes_sent, 0);
-  EXPECT_GE(ph.probe_acks, cfg.probe_required_acks);
+  EXPECT_GE(ph.probe_acks, mptcp::PathHealthMonitor::kProbeRequiredAcks);
   EXPECT_EQ(ph.probe_revivals, 1);
 
   // The revival must be probe-proven and must happen after the restore —
@@ -177,7 +177,6 @@ TEST(PathHealthTest, KeepaliveDetectsSilentDeathOfIdleBackup) {
   mptcp::MptcpConnection::Config cfg =
       apps::handover_config(/*rto_death_threshold=*/3);
   cfg.keepalive_idle = milliseconds(200);
-  cfg.keepalive_misses = 2;
   MptcpConnection conn(sim, cfg, Rng(42));
   conn.set_scheduler(sched::make_native_minrtt());
 

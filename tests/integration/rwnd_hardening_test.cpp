@@ -1,7 +1,7 @@
 // Receive-window hardening: zero-window persist probing (RFC 9293
-// §3.8.6.1), lossy routed window updates, bounded reassembly enforcement
-// and SWS window-update coalescing — including the deadlock-masking
-// regression the seed's lossless window-update side channel hides.
+// §3.8.6.1), window updates that ride a real reverse link and die with it,
+// the window-update carrier rule, bounded reassembly enforcement and SWS
+// window-update coalescing.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -42,8 +42,6 @@ TEST_P(ZeroWindowTest, WindowClosesAndReopensOverRoutedUpdates) {
   cfg.receiver.model = GetParam();
   cfg.receiver.recv_buf_bytes = 10 * 1400;
   cfg.receiver.app_read_bytes_per_sec = 200'000;
-  cfg.window_update_subflow = 0;
-  cfg.zero_window_probe = true;
   MptcpConnection conn(sim, cfg, Rng(11));
   conn.set_scheduler(sched::make_native_minrtt());
   conn.write(400 * 1400);
@@ -52,8 +50,9 @@ TEST_P(ZeroWindowTest, WindowClosesAndReopensOverRoutedUpdates) {
   EXPECT_LT(conn.delivered_bytes(), conn.written_bytes());
   sim.run_until(seconds(10));
   EXPECT_EQ(conn.delivered_bytes(), conn.written_bytes());
-  EXPECT_GT(conn.wnd_updates_routed(), 0);
-  EXPECT_EQ(conn.wnd_updates_routed(), conn.wnd_updates_delivered());
+  EXPECT_GT(conn.wnd_updates_delivered(), 0);
+  EXPECT_EQ(conn.wnd_updates_delivered(),
+            conn.receiver().window_updates_emitted());
 }
 
 INSTANTIATE_TEST_SUITE_P(BothModels, ZeroWindowTest,
@@ -80,13 +79,10 @@ struct PersistRig {
   }
 };
 
-MptcpConnection::Config persist_config(int wnd_update_subflow,
-                                       bool zero_window_probe) {
+MptcpConnection::Config persist_config() {
   auto cfg = apps::single_path_config({});
   cfg.receiver.recv_buf_bytes = 20 * 1400;  // 28'000
   cfg.receiver.app_read_bytes_per_sec = 20'000;
-  cfg.window_update_subflow = wnd_update_subflow;
-  cfg.zero_window_probe = zero_window_probe;
   cfg.trace_enabled = true;
   cfg.trace_capacity = 1 << 16;
   return cfg;
@@ -107,8 +103,7 @@ void run_blocked_sender(PersistRig& rig, TimeNs heal_at, TimeNs run_until) {
 }
 
 TEST(PersistTimerTest, ProbeBackoffDoublesUpToCap) {
-  PersistRig rig(persist_config(/*wnd_update_subflow=*/0,
-                                /*zero_window_probe=*/true));
+  PersistRig rig(persist_config());
   run_blocked_sender(rig, /*heal_at=*/seconds(10), /*run_until=*/seconds(14));
 
   const auto probes = event_times(rig.conn, TraceEventType::kZeroWindowProbe);
@@ -118,12 +113,12 @@ TEST(PersistTimerTest, ProbeBackoffDoublesUpToCap) {
     gaps.push_back(static_cast<double>((probes[i] - probes[i - 1]).ns()));
   }
   const double interval =
-      static_cast<double>(rig.conn.config().persist_interval.ns());
+      static_cast<double>(MptcpConnection::kPersistInterval.ns());
   const double cap =
-      static_cast<double>(rig.conn.config().persist_interval_max.ns());
-  // The first probe fires persist_interval after arming; the gaps between
+      static_cast<double>(MptcpConnection::kPersistIntervalMax.ns());
+  // The first probe fires kPersistInterval after arming; the gaps between
   // probes then double — 400ms, 800ms, 1.6s — until capped at
-  // persist_interval_max (2s).
+  // kPersistIntervalMax (2s).
   EXPECT_NEAR(gaps.front(), 2.0 * interval, interval * 0.1);
   for (std::size_t i = 0; i + 1 < 2 && i + 1 < gaps.size(); ++i) {
     EXPECT_NEAR(gaps[i + 1] / gaps[i], 2.0, 0.1) << "gap index " << i;
@@ -142,8 +137,7 @@ TEST(PersistTimerTest, SubflowCloseCancelsArmedProbeChain) {
   // A subflow closing while the zero-window persist chain is armed must
   // cancel the probe epoch: no probe may ride the dead subflow, and with no
   // established subflow left the chain must not re-arm either.
-  PersistRig rig(persist_config(/*wnd_update_subflow=*/0,
-                                /*zero_window_probe=*/true));
+  PersistRig rig(persist_config());
   rig.conn.write(20 * 1400);
   rig.sim.schedule_at(milliseconds(50),
                       [&] { rig.conn.path(0).reverse.set_down(); });
@@ -171,8 +165,6 @@ TEST(PersistTimerTest, FallbackAbandonCancelsProbeChain) {
   auto cfg = apps::heterogeneous_config(/*rtt_ratio=*/4.0);
   cfg.receiver.recv_buf_bytes = 20 * 1400;
   cfg.receiver.app_read_bytes_per_sec = 20'000;
-  cfg.window_update_subflow = 0;
-  cfg.zero_window_probe = true;
   cfg.middlebox_fallback = true;
   cfg.trace_enabled = true;
   cfg.trace_capacity = 1 << 16;
@@ -214,38 +206,14 @@ TEST(PersistTimerTest, FallbackAbandonCancelsProbeChain) {
   }
 }
 
-// ---- The deadlock-masking regression matrix ---------------------------------
+// ---- Lost window updates -----------------------------------------------------
 //
-// Same outage three ways. The seed's lossless side channel masks the lost
-// window updates entirely; routing them over the real reverse link exposes
-// the deadlock; the persist timer is what actually fixes it.
-
-TEST(WindowUpdateLossTest, SideChannelMasksTheOutage) {
-  PersistRig rig(persist_config(/*wnd_update_subflow=*/-1,
-                                /*zero_window_probe=*/false));
-  run_blocked_sender(rig, /*heal_at=*/seconds(3), /*run_until=*/seconds(30));
-  // Window updates teleported past the dead reverse link, so even without
-  // probing the transfer completes — the seed model can not observe this
-  // failure mode at all.
-  EXPECT_EQ(rig.conn.delivered_bytes(), rig.conn.written_bytes());
-  EXPECT_EQ(rig.conn.zero_window_probes(), 0);
-}
-
-TEST(WindowUpdateLossTest, RoutedUpdatesWithoutProbingDeadlock) {
-  PersistRig rig(persist_config(/*wnd_update_subflow=*/0,
-                                /*zero_window_probe=*/false));
-  run_blocked_sender(rig, /*heal_at=*/seconds(3), /*run_until=*/seconds(30));
-  // Every window update died during the outage and the receiver has no
-  // reason to ever send another one — with no persist timer the connection
-  // is wedged forever, 27 seconds after the path healed.
-  EXPECT_EQ(rig.conn.delivered_bytes(), 20 * 1400);
-  EXPECT_LT(rig.conn.delivered_bytes(), rig.conn.written_bytes());
-  EXPECT_EQ(rig.conn.rwnd_bytes(), 0);
-}
+// Window updates die on a downed reverse link like any ACK; with the
+// receiver having no reason to send another, only the persist timer
+// reopens the window after the heal.
 
 TEST(WindowUpdateLossTest, PersistProbingRecoversAfterHeal) {
-  PersistRig rig(persist_config(/*wnd_update_subflow=*/0,
-                                /*zero_window_probe=*/true));
+  PersistRig rig(persist_config());
   run_blocked_sender(rig, /*heal_at=*/seconds(3), /*run_until=*/seconds(30));
   EXPECT_EQ(rig.conn.delivered_bytes(), rig.conn.written_bytes());
   EXPECT_GT(rig.conn.zero_window_probes(), 0);
@@ -254,7 +222,7 @@ TEST(WindowUpdateLossTest, PersistProbingRecoversAfterHeal) {
   const auto deliveries = rig.conn.receiver().deliveries();
   ASSERT_FALSE(deliveries.empty());
   EXPECT_LE(deliveries.back().at,
-            seconds(3) + rig.conn.config().persist_interval_max + seconds(2));
+            seconds(3) + MptcpConnection::kPersistIntervalMax + seconds(2));
 }
 
 TEST(WindowUpdateLossTest, CrossPathStragglerDoesNotWedgeTheWindow) {
@@ -279,6 +247,63 @@ TEST(WindowUpdateLossTest, CrossPathStragglerDoesNotWedgeTheWindow) {
   sim.run_until(seconds(30));
   EXPECT_EQ(conn.delivered_bytes(), conn.written_bytes());
   EXPECT_GT(conn.rwnd_bytes(), 0);
+}
+
+// ---- The window-update carrier rule ------------------------------------------
+//
+// A window update rides the reverse link of the first established subflow;
+// with none established it is not sent at all.
+
+TEST(WindowUpdateCarrierTest, UpdatesRideLteOnceWifiIsDeclaredDead) {
+  // WiFi is black from the start: the first flight never arrives and the
+  // RTO spiral declares WiFi dead before the slow reader has read a byte,
+  // so no update is emitted while WiFi is still the carrier. From then on
+  // LTE is the first established subflow and every update must ride its
+  // reverse link and arrive.
+  sim::Simulator sim;
+  auto cfg = apps::handover_config(/*rto_death_threshold=*/3);
+  cfg.receiver.recv_buf_bytes = 10 * 1400;
+  cfg.receiver.app_read_bytes_per_sec = 200'000;
+  MptcpConnection conn(sim, cfg, Rng(11));
+  conn.set_scheduler(sched::make_native_minrtt());
+  conn.path(0).forward.set_down();
+  conn.path(0).reverse.set_down();
+  conn.write(400 * 1400);
+  sim.run_until(seconds(60));
+
+  EXPECT_EQ(conn.subflow(0).stats().deaths, 1);
+  EXPECT_FALSE(conn.subflow(0).established());
+  EXPECT_EQ(conn.delivered_bytes(), conn.written_bytes());
+  EXPECT_GT(conn.receiver().window_updates_emitted(), 0);
+  EXPECT_EQ(conn.wnd_updates_delivered(),
+            conn.receiver().window_updates_emitted());
+  // Nothing was ever sent into WiFi's dead reverse link.
+  EXPECT_EQ(conn.path(0).reverse.stats().drops_down, 0);
+}
+
+TEST(WindowUpdateCarrierTest, NoEstablishedSubflowSendsNoUpdate) {
+  // The only subflow fails right after the zero-window ACK, so the slow
+  // reader's updates find no carrier and are not sent. By t=2s the reader
+  // has drained the whole buffer and has no reason to send another update,
+  // yet the sender still believes rwnd=0 when the subflow comes back. The
+  // persist timer, armed at the revival, reads the live window with its
+  // first probe and the transfer completes.
+  PersistRig rig(persist_config());
+  rig.conn.write(20 * 1400);
+  rig.sim.schedule_at(milliseconds(50), [&] { rig.conn.fail_subflow(0); });
+  rig.sim.schedule_at(milliseconds(150), [&] { rig.conn.write(20 * 1400); });
+  rig.sim.run_until(seconds(2));
+  EXPECT_GT(rig.conn.receiver().window_updates_emitted(), 0);
+  EXPECT_EQ(rig.conn.wnd_updates_delivered(), 0);
+  EXPECT_EQ(rig.conn.rwnd_bytes(), 0);
+  EXPECT_FALSE(rig.conn.persist_armed());
+
+  rig.conn.revive_subflow(0);
+  rig.sim.run_until(seconds(10));
+  EXPECT_EQ(rig.conn.delivered_bytes(), rig.conn.written_bytes());
+  const auto probes = event_times(rig.conn, TraceEventType::kZeroWindowProbe);
+  ASSERT_FALSE(probes.empty());
+  EXPECT_EQ(probes.front(), seconds(2) + MptcpConnection::kPersistInterval);
 }
 
 // ---- Bounded reassembly ------------------------------------------------------

@@ -87,6 +87,36 @@ TEST(PacketQueueTest, TrackedEraseIsExactAndClearsFlag) {
   EXPECT_FALSE(queue.audit().has_value());
 }
 
+TEST(PacketQueueTest, TrackedInsertUndoesPopAtAtEveryIndex) {
+  // The head sits at every ring offset in turn, so both shift directions
+  // wrap around the end of the 16-slot ring.
+  for (int rotate = 0; rotate < 16; ++rotate) {
+    PacketQueue queue(QueueId::kQ);
+    for (int i = 0; i < rotate; ++i) {
+      queue.push_back(make_skb(static_cast<std::uint64_t>(100 + i), 1));
+      queue.pop_front();
+    }
+    std::deque<SkbPtr> reference;
+    for (int i = 0; i < 11; ++i) {
+      reference.push_back(make_skb(static_cast<std::uint64_t>(i), 100 + i));
+      queue.push_back(reference.back());
+    }
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      ASSERT_EQ(queue.index_of(reference[i].get()), i);
+      queue.insert(i, queue.pop_at(i));
+      expect_matches(queue, reference, /*tracked=*/true);
+    }
+    // Inserting at size() appends; inserting into a full ring grows it.
+    while (reference.size() < 16) {
+      reference.push_back(make_skb(200 + reference.size(), 7));
+      queue.insert(queue.size(), reference.back());
+    }
+    reference.insert(reference.begin() + 5, make_skb(300, 9));
+    queue.insert(5, reference[5]);
+    expect_matches(queue, reference, /*tracked=*/true);
+  }
+}
+
 TEST(PacketQueueTest, UntrackedModeAllowsDuplicates) {
   PacketQueue queue;  // subflow-queue mode
   auto skb = make_skb(7, 500);
