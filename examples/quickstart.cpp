@@ -54,7 +54,7 @@ int main() {
   std::printf("\ndelivered %lld of %lld bytes\n",
               static_cast<long long>(conn.delivered_bytes()),
               static_cast<long long>(conn.written_bytes()));
-  std::printf("\n%s\n", api.proc_stats(conn).c_str());
+  std::printf("\n%s\n", api.proc_dump(conn).c_str());
 
   // Bonus: look at the bytecode your spec compiled to.
   if (auto program = api.find("steady_path")) {

@@ -1,7 +1,6 @@
 #include "api/host.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <utility>
 
 #include "core/invariants.hpp"
@@ -167,6 +166,32 @@ std::int64_t Host::total_wire_bytes_sent() const {
 }
 
 void Host::refresh_metrics() {
+  *metrics_.gauge("host.now_ns") = sim_.now().ns();
+  *metrics_.gauge("host.connections") = connection_count();
+  *metrics_.counter("host.written_bytes") = total_written_bytes();
+  *metrics_.counter("host.delivered_bytes") = total_delivered_bytes();
+  *metrics_.counter("host.wire_bytes_sent") = total_wire_bytes_sent();
+  *metrics_.counter("host.trace_events") =
+      static_cast<std::int64_t>(host_trace_.total_emitted());
+  *metrics_.counter("host.trace_overwritten") =
+      static_cast<std::int64_t>(host_trace_.overwritten());
+  // Event-core health: a heap depth far above pending means a cancel-heavy
+  // workload is building lazy-deletion backlog.
+  *metrics_.counter("sim.executed") =
+      static_cast<std::int64_t>(sim_.executed());
+  *metrics_.gauge("sim.pending") = static_cast<std::int64_t>(sim_.pending());
+  *metrics_.counter("sim.cancelled") =
+      static_cast<std::int64_t>(sim_.cancelled());
+  *metrics_.gauge("sim.heap_depth") =
+      static_cast<std::int64_t>(sim_.heap_depth());
+  const mptcp::SkbPoolStats pool = mptcp::skb_pool_stats();
+  *metrics_.gauge("skb_pool.live") =
+      static_cast<std::int64_t>(pool.live_chunks);
+  *metrics_.gauge("skb_pool.peak") =
+      static_cast<std::int64_t>(pool.peak_live_chunks);
+  *metrics_.counter("skb_pool.recycled") =
+      static_cast<std::int64_t>(pool.chunks_recycled);
+  *metrics_.gauge("skb_pool.slabs") = static_cast<std::int64_t>(pool.slabs);
   if (mem_pool_ != nullptr) {
     const RecvMemPool::Stats& ps = mem_pool_->stats();
     *metrics_.gauge("host.mem.pool_bytes") = mem_pool_->config().pool_bytes;
@@ -185,58 +210,27 @@ void Host::refresh_metrics() {
   if (quarantine_ != nullptr) {
     *metrics_.counter("host.quarantines") = quarantine_->total_quarantines();
     *metrics_.counter("host.reinstates") = quarantine_->total_reinstates();
+    std::int64_t active = 0;
     for (const auto& [name, st] : quarantine_->stats()) {
       *metrics_.gauge("prog.fault_score." + name) = st.faults_total;
+      if (st.phase == SpecQuarantine::Phase::kQuarantined) ++active;
     }
+    *metrics_.gauge("host.quarantine_active") = active;
   }
 }
 
 std::string Host::proc_dump() {
-  std::ostringstream out;
-  out << "=== host ===\n";
-  out << "now_ns: " << sim_.now().ns() << "\n";
-  out << "connections: " << connections_.size() << "\n";
-  out << "total_written_bytes: " << total_written_bytes() << "\n";
-  out << "total_delivered_bytes: " << total_delivered_bytes() << "\n";
-  out << "total_wire_bytes_sent: " << total_wire_bytes_sent() << "\n";
-  out << "trace_events: " << host_trace_.total_emitted()
-      << " (overwritten " << host_trace_.overwritten() << ")\n";
-  // Event-core health: a heap depth far above pending means a cancel-heavy
-  // workload is building lazy-deletion backlog.
-  out << "sim: executed=" << sim_.executed() << " pending=" << sim_.pending()
-      << " cancelled=" << sim_.cancelled()
-      << " heap_depth=" << sim_.heap_depth() << "\n";
-  const mptcp::SkbPoolStats pool = mptcp::skb_pool_stats();
-  out << "skb_pool: live=" << pool.live_chunks
-      << " peak=" << pool.peak_live_chunks
-      << " recycled=" << pool.chunks_recycled << " slabs=" << pool.slabs
-      << "\n";
-  if (mem_pool_ != nullptr) {
-    const RecvMemPool::Stats& ps = mem_pool_->stats();
-    out << "host_mem: pool=" << mem_pool_->config().pool_bytes
-        << " granted=" << mem_pool_->granted_bytes()
-        << " free=" << mem_pool_->free_bytes()
-        << " members=" << mem_pool_->member_count()
-        << " pressure=" << mem_pool_->pressure_level()
-        << " admissions=" << ps.admissions << " refusals=" << ps.refusals
-        << " reclaimed=" << ps.reclaimed_bytes << " sheds=" << ps.sheds
-        << " restores=" << ps.restores << "\n";
-  }
-  if (quarantine_ != nullptr) {
-    out << quarantine_->proc_line() << "\n";
-  }
-  if (mem_pool_ != nullptr || quarantine_ != nullptr) {
-    refresh_metrics();
-    out << metrics_.proc_dump();
-  }
+  std::string out = "=== host ===\n";
+  if (quarantine_ != nullptr) out += quarantine_->proc_line() + '\n';
+  out += metrics().proc_dump();
   for (std::size_t i = 0; i < connections_.size(); ++i) {
-    out << "\n=== conn " << i << " (scheduler=" << scheduler_names_[i]
-        << ") ===\n";
-    out << ProgmpApi::proc_dump(*connections_[i]);
+    out += "\n=== conn " + std::to_string(i) +
+           " (scheduler=" + scheduler_names_[i] + ") ===\n";
+    out += ProgmpApi::proc_dump(*connections_[i]);
   }
-  out << "\n=== network ===\n";
-  out << network_.proc_dump();
-  return out.str();
+  out += "\n=== network ===\n";
+  out += network_.proc_dump();
+  return out;
 }
 
 void install_mem_invariants(InvariantChecker& checker, Host& host) {

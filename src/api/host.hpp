@@ -120,7 +120,8 @@ class Host {
   [[nodiscard]] std::int64_t total_delivered_bytes() const;
   [[nodiscard]] std::int64_t total_wire_bytes_sent() const;
 
-  /// Aggregated /proc-style dump: host summary, one section per connection
+  /// Aggregated /proc-style dump: the quarantine configuration (when
+  /// enabled) and the host registry, one section per connection
   /// (conn-id-tagged metrics included), then the network's per-link
   /// contention and drop accounting.
   [[nodiscard]] std::string proc_dump();
@@ -138,12 +139,19 @@ class Host {
     return quarantine_.get();
   }
 
-  /// Host-level metrics (host.mem.* pool gauges); refreshed by
-  /// refresh_metrics()/proc_dump().
-  [[nodiscard]] MetricsRegistry& metrics() { return metrics_; }
-  void refresh_metrics();
+  /// Host-level metrics (host.*, sim.*, skb_pool.*, and the host.mem.* /
+  /// quarantine entries of whichever managers exist), current at every
+  /// call.
+  [[nodiscard]] const MetricsRegistry& metrics() {
+    refresh_metrics();
+    return metrics_;
+  }
 
  private:
+  /// Syncs the registry from the simulator, the connections and the
+  /// managers; metrics() runs it on every read.
+  void refresh_metrics();
+
   sim::Simulator& sim_;
   ProgmpApi& api_;
   Rng rng_;

@@ -1,9 +1,5 @@
 #include "api/progmp_api.hpp"
 
-#include <algorithm>
-#include <cstdio>
-
-#include "mptcp/path_health.hpp"
 #include "sched/specs.hpp"
 
 namespace progmp::api {
@@ -24,27 +20,6 @@ class SchedulerInstance final : public mptcp::Scheduler {
  private:
   std::shared_ptr<rt::ProgmpProgram> program_;
 };
-
-/// One queue's figures for the proc dump's `queue seq:` line.
-struct QueueSeqSummary {
-  std::uint64_t min_seq = 0;  ///< 0 when the queue is empty
-  std::uint64_t max_seq = 0;
-  std::int64_t sent = 0;       ///< packets scheduled on at least one subflow
-  std::int64_t flow_ends = 0;  ///< packets carrying the end-of-flow signal
-};
-
-QueueSeqSummary summarize(const mptcp::PacketQueue& queue) {
-  QueueSeqSummary s;
-  bool first = true;
-  for (const mptcp::SkbPtr& skb : queue) {
-    s.min_seq = first ? skb->meta_seq : std::min(s.min_seq, skb->meta_seq);
-    s.max_seq = first ? skb->meta_seq : std::max(s.max_seq, skb->meta_seq);
-    first = false;
-    if (skb->sent_mask != 0) ++s.sent;
-    if (skb->props.flow_end) ++s.flow_ends;
-  }
-  return s;
-}
 
 }  // namespace
 
@@ -96,162 +71,29 @@ std::shared_ptr<rt::ProgmpProgram> ProgmpApi::find(
   return it == loaded_.end() ? nullptr : it->second;
 }
 
-std::string ProgmpApi::proc_stats(mptcp::MptcpConnection& conn) {
-  std::string out;
-  char buf[256];
-  const mptcp::SchedulerStats& st = conn.scheduler_stats();
-  std::snprintf(buf, sizeof buf,
-                "scheduler: %s\nexecutions: %lld\npushes: %lld "
-                "(redundant: %lld, null: %lld)\npops: %lld\ndrops: %lld\n",
-                conn.scheduler() ? conn.scheduler()->name().c_str() : "(none)",
-                static_cast<long long>(st.executions),
-                static_cast<long long>(st.pushes),
-                static_cast<long long>(st.redundant_pushes),
-                static_cast<long long>(st.null_pushes),
-                static_cast<long long>(st.pops),
-                static_cast<long long>(st.drops));
-  out += buf;
-  std::snprintf(buf, sizeof buf, "Q: %zu  QU: %zu  RQ: %zu\n", conn.q_len(),
-                conn.qu_len(), conn.rq_len());
-  out += buf;
-  std::snprintf(buf, sizeof buf,
-                "queue bytes: Q=%lld QU=%lld RQ=%lld\n",
-                static_cast<long long>(conn.sending_queue().bytes()),
-                static_cast<long long>(conn.inflight_queue().bytes()),
-                static_cast<long long>(conn.reinjection_queue().bytes()));
-  out += buf;
-  const QueueSeqSummary q = summarize(conn.sending_queue());
-  const QueueSeqSummary qu = summarize(conn.inflight_queue());
-  const QueueSeqSummary rq = summarize(conn.reinjection_queue());
-  std::snprintf(buf, sizeof buf,
-                "queue seq: Q=[%llu..%llu] QU=[%llu..%llu] qu_sent=%lld "
-                "flow_end=%lld\n",
-                static_cast<unsigned long long>(q.min_seq),
-                static_cast<unsigned long long>(q.max_seq),
-                static_cast<unsigned long long>(qu.min_seq),
-                static_cast<unsigned long long>(qu.max_seq),
-                static_cast<long long>(qu.sent),
-                static_cast<long long>(q.flow_ends + qu.flow_ends +
-                                       rq.flow_ends));
-  out += buf;
-  const TimeNs now = conn.simulator().now();
-  for (int slot = 0; slot < conn.subflow_count(); ++slot) {
-    mptcp::SubflowSender& sbf = conn.subflow(slot);
-    const mptcp::SubflowInfo info = sbf.info(now);
-    const char* state = "";
-    switch (sbf.state()) {
-      case mptcp::SubflowSender::State::kEstablished:
-        break;
-      case mptcp::SubflowSender::State::kFailed:
-        state = " [failed]";
-        break;
-      case mptcp::SubflowSender::State::kClosed:
-        state = " [closed]";
-        break;
-    }
-    std::snprintf(
-        buf, sizeof buf,
-        "subflow %d (%s)%s%s: rtt=%s cwnd=%lld inflight=%lld queued=%lld "
-        "rate=%.0fB/s\n",
-        slot, info.name.c_str(), info.is_backup ? " [backup]" : "", state,
-        info.rtt.str().c_str(), static_cast<long long>(info.cwnd),
-        static_cast<long long>(info.skbs_in_flight),
-        static_cast<long long>(info.queued), info.delivery_rate_bps);
-    out += buf;
-    const mptcp::SubflowSender::Stats& ss = sbf.stats();
-    if (ss.deaths > 0 || ss.revivals > 0) {
-      std::snprintf(buf, sizeof buf, "  deaths=%lld revivals=%lld\n",
-                    static_cast<long long>(ss.deaths),
-                    static_cast<long long>(ss.revivals));
-      out += buf;
-    }
-  }
-  return out;
-}
-
 std::string ProgmpApi::proc_dump(mptcp::MptcpConnection& conn) {
-  std::string out = proc_stats(conn);
-  char buf[384];
-  const mptcp::SchedulerStats& st = conn.scheduler_stats();
-  std::snprintf(buf, sizeof buf,
-                "trigger_drops: %lld\nsched_faults: %lld\nbackend: %s\n",
-                static_cast<long long>(st.trigger_drops),
-                static_cast<long long>(st.sched_faults),
-                conn.last_exec_backend());
-  out += buf;
+  const auto on_off = [](bool on) { return on ? "on" : "off"; };
+  std::string out = "scheduler: ";
+  out += conn.scheduler() ? conn.scheduler()->name() : "(none)";
+  out += "\nbackend: ";
+  out += conn.last_exec_backend();
+  out += '\n';
+  for (int slot = 0; slot < conn.subflow_count(); ++slot) {
+    const mptcp::SubflowSender::Config& sc = conn.subflow(slot).config();
+    out += "subflow " + std::to_string(slot) + ": " + sc.name +
+           (sc.backup ? " [backup]\n" : "\n");
+  }
   const mptcp::MptcpConnection::Config& cc = conn.config();
-  std::snprintf(buf, sizeof buf,
-                "resilience: rto_death_threshold=%d revival_min_uptime=%s\n",
-                cc.rto_death_threshold, cc.revival_min_uptime.str().c_str());
-  out += buf;
-  // Only rendered once the host's quarantine manager has touched this
-  // connection — quarantine-off dumps stay byte-identical to the seed.
-  if (conn.scheduler_quarantined() || conn.quarantine_signal() != 0) {
-    std::snprintf(buf, sizeof buf, "quarantine: parked=%s signal=%lld\n",
-                  conn.scheduler_quarantined() ? "yes" : "no",
-                  static_cast<long long>(conn.quarantine_signal()));
-    out += buf;
-  }
-  std::snprintf(buf, sizeof buf,
-                "path_health: probe_revival=%s keepalive_idle=%s "
-                "stall_timeout=%s stall_rescue=%s\n",
-                cc.probe_revival ? "on" : "off",
-                cc.keepalive_idle.str().c_str(),
-                cc.stall_timeout.str().c_str(),
-                cc.stall_rescue ? "on" : "off");
-  out += buf;
-  if (const mptcp::PathHealthMonitor* health = conn.path_health()) {
-    out += health->proc_dump();
-  }
-  const mptcp::Receiver& rx = conn.receiver();
-  std::snprintf(buf, sizeof buf,
-                "rwnd: probes=%lld persist_armed=%s "
-                "recv_buf_drops=%lld dups_net=%lld dups_dsack=%lld "
-                "buf_target=%lld buf_limit=%lld autotune=%s\n",
-                static_cast<long long>(conn.zero_window_probes()),
-                conn.persist_armed() ? "yes" : "no",
-                static_cast<long long>(rx.recv_buf_drops()),
-                static_cast<long long>(rx.network_dup_segments()),
-                static_cast<long long>(rx.dsack_dup_segments()),
-                static_cast<long long>(rx.recv_buf_target()),
-                static_cast<long long>(rx.recv_buf_limit()),
-                rx.config().autotune ? "on" : "off");
-  out += buf;
-  {
-    const char* state = "native";
-    if (conn.fallback_state() == mptcp::FallbackState::kFallbackPending) {
-      state = "pending";
-    } else if (conn.fallback_state() == mptcp::FallbackState::kSinglePath) {
-      state = "single_path";
-    }
-    std::snprintf(buf, sizeof buf,
-                  "fallback: state=%s detection=%s survivor=%d fallbacks=%lld "
-                  "mapping_lost=%lld csum_fails=%lld ack_tampered=%lld "
-                  "rejected_joins=%lld\n",
-                  state, rx.config().dss_checksum ? "on" : "off",
-                  conn.fallback_survivor(),
-                  static_cast<long long>(conn.fallbacks()),
-                  static_cast<long long>(rx.mapping_lost_segments()),
-                  static_cast<long long>(rx.csum_fail_segments()),
-                  static_cast<long long>(conn.ack_tampered_acks()),
-                  static_cast<long long>(conn.fallback_rejected_joins()));
-    out += buf;
-  }
-  if (conn.stalls() > 0 || conn.stall_rescues() > 0) {
-    std::snprintf(buf, sizeof buf, "watchdog: stalls=%lld rescues=%lld\n",
-                  static_cast<long long>(conn.stalls()),
-                  static_cast<long long>(conn.stall_rescues()));
-    out += buf;
-  }
-  const Tracer& trace = conn.tracer();
-  std::snprintf(buf, sizeof buf,
-                "trace: %s emitted=%llu overwritten=%llu capacity=%zu\n",
-                trace.enabled() ? "on" : "off",
-                static_cast<unsigned long long>(trace.total_emitted()),
-                static_cast<unsigned long long>(trace.overwritten()),
-                trace.capacity());
-  out += buf;
-  conn.refresh_metrics();
+  out += "config: rto_death_threshold=" +
+         std::to_string(cc.rto_death_threshold) +
+         " revival_min_uptime=" + cc.revival_min_uptime.str() +
+         " probe_revival=" + on_off(cc.probe_revival) +
+         " keepalive_idle=" + cc.keepalive_idle.str() +
+         " stall_timeout=" + cc.stall_timeout.str() +
+         " stall_rescue=" + on_off(cc.stall_rescue) +
+         " autotune=" + on_off(cc.receiver.autotune) +
+         " dss_checksum=" + on_off(cc.receiver.dss_checksum) +
+         " trace_capacity=" + std::to_string(cc.trace_capacity) + '\n';
   out += "-- metrics --\n";
   out += conn.metrics().proc_dump();
   return out;

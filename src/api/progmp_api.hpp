@@ -76,14 +76,11 @@ class ProgmpApi {
     set_register(conn, 2, 0);
   }
 
-  /// proc-style runtime statistics of a connection (§4.1's debugging
-  /// interface): scheduler counters, per-subflow state, queue depths.
-  static std::string proc_stats(mptcp::MptcpConnection& conn);
-
-  /// Full /proc/net/mptcp_prog-style dump: proc_stats plus trigger-drop
-  /// accounting, the last execution backend, the refreshed metrics registry
-  /// and a trace summary. Counters are synced from the authoritative
-  /// SchedulerStats before rendering.
+  /// /proc/net/mptcp_prog-style dump of a connection (§4.1's debugging
+  /// interface): the scheduler and last execution backend, one line per
+  /// subflow slot, the construction-time `config:` line, then
+  /// "-- metrics --" and the connection's registry, which carries every
+  /// count, level and state the run changes.
   static std::string proc_dump(mptcp::MptcpConnection& conn);
 
   /// Enables tracing on the connection and streams every emitted event to

@@ -1,7 +1,6 @@
 #include "api/spec_quarantine.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
 
 namespace progmp::api {
@@ -101,19 +100,9 @@ SpecQuarantine::stats() const {
 
 std::string SpecQuarantine::proc_line() const {
   if (!config_.enabled) return "quarantine: disabled";
-  std::int64_t active = 0;
-  for (const auto& [name, st] : programs_) {
-    if (st.phase == Phase::kQuarantined) ++active;
-  }
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "quarantine: enabled threshold=%d window=%s active=%lld "
-                "total=%lld reinstated=%lld",
-                config_.fault_threshold, config_.window.str().c_str(),
-                static_cast<long long>(active),
-                static_cast<long long>(total_quarantines_),
-                static_cast<long long>(total_reinstates_));
-  return buf;
+  return "quarantine: enabled threshold=" +
+         std::to_string(config_.fault_threshold) +
+         " window=" + config_.window.str();
 }
 
 }  // namespace progmp::api

@@ -17,8 +17,8 @@
 //     cooldown doubled (capped), surviving probation clears the state and
 //     resets the cooldown (R94 = 0);
 //   * each transition is visible: kSpecQuarantine / kSpecReinstate trace
-//     events, the host.quarantines counter, prog.fault_score gauges, and a
-//     "quarantine:" line in the host proc dump.
+//     events and the host registry's host.quarantines,
+//     host.quarantine_active and prog.fault_score entries.
 //
 // The manager owns timing and the state machine; the Host supplies the
 // demote/reinstate/probation-clear callbacks that actually swap schedulers
@@ -96,8 +96,9 @@ class SpecQuarantine {
   [[nodiscard]] std::vector<std::pair<std::string, ProgramStats>> stats()
       const;
 
-  /// One proc-dump line, e.g.
-  /// "quarantine: enabled threshold=3 window=2s active=1 total=2".
+  /// The configuration's proc-dump line, e.g.
+  /// "quarantine: enabled threshold=3 window=2.000s". Counts live in the
+  /// host registry (host.quarantines, host.quarantine_active, ...).
   [[nodiscard]] std::string proc_line() const;
 
  private:

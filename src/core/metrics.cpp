@@ -1,7 +1,7 @@
 #include "core/metrics.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
 
 namespace progmp {
 namespace {
@@ -10,6 +10,15 @@ int bucket_of(std::int64_t value) {
   int b = 0;
   while (b < 63 && value >= (std::int64_t{1} << b)) ++b;
   return b;  // value < 2^b
+}
+
+/// `value` with one decimal, as printf's "%.1f" renders it. A histogram
+/// mean is at most INT64_MAX, so 32 chars always suffice.
+std::string fixed1(double value) {
+  char buf[32];
+  const std::to_chars_result r =
+      std::to_chars(buf, buf + sizeof buf, value, std::chars_format::fixed, 1);
+  return std::string(buf, r.ptr);
 }
 
 }  // namespace
@@ -69,53 +78,17 @@ std::string MetricsRegistry::export_prefix() const {
 std::string MetricsRegistry::proc_dump() const {
   const std::string prefix = export_prefix();
   std::string out;
-  char buf[256];
-  for (const auto& [name, value] : counters_) {
-    std::snprintf(buf, sizeof buf, "%s%s %lld\n", prefix.c_str(), name.c_str(),
-                  static_cast<long long>(value));
-    out += buf;
-  }
-  for (const auto& [name, value] : gauges_) {
-    std::snprintf(buf, sizeof buf, "%s%s %lld\n", prefix.c_str(), name.c_str(),
-                  static_cast<long long>(value));
-    out += buf;
+  for (const auto* series : {&counters_, &gauges_}) {
+    for (const auto& [name, value] : *series) {
+      out += prefix + name + ' ' + std::to_string(value) + '\n';
+    }
   }
   for (const auto& [name, h] : histograms_) {
-    std::snprintf(buf, sizeof buf,
-                  "%s%s count=%lld mean=%.1f p50=%lld p99=%lld max=%lld\n",
-                  prefix.c_str(), name.c_str(),
-                  static_cast<long long>(h.count()), h.mean(),
-                  static_cast<long long>(h.percentile(50)),
-                  static_cast<long long>(h.percentile(99)),
-                  static_cast<long long>(h.max()));
-    out += buf;
-  }
-  return out;
-}
-
-std::string MetricsRegistry::to_csv() const {
-  const std::string prefix = export_prefix();
-  std::string out = "kind,name,field,value\n";
-  char buf[256];
-  for (const auto& [name, value] : counters_) {
-    std::snprintf(buf, sizeof buf, "counter,%s%s,value,%lld\n", prefix.c_str(),
-                  name.c_str(), static_cast<long long>(value));
-    out += buf;
-  }
-  for (const auto& [name, value] : gauges_) {
-    std::snprintf(buf, sizeof buf, "gauge,%s%s,value,%lld\n", prefix.c_str(),
-                  name.c_str(), static_cast<long long>(value));
-    out += buf;
-  }
-  for (const auto& [name, h] : histograms_) {
-    const std::string full = prefix + name;
-    std::snprintf(buf, sizeof buf,
-                  "histogram,%s,count,%lld\nhistogram,%s,sum,%lld\n"
-                  "histogram,%s,max,%lld\n",
-                  full.c_str(), static_cast<long long>(h.count()),
-                  full.c_str(), static_cast<long long>(h.sum()), full.c_str(),
-                  static_cast<long long>(h.max()));
-    out += buf;
+    out += prefix + name + " count=" + std::to_string(h.count()) +
+           " mean=" + fixed1(h.mean()) +
+           " p50=" + std::to_string(h.percentile(50)) +
+           " p99=" + std::to_string(h.percentile(99)) +
+           " max=" + std::to_string(h.max()) + '\n';
   }
   return out;
 }
@@ -123,27 +96,18 @@ std::string MetricsRegistry::to_csv() const {
 std::string MetricsRegistry::to_jsonl() const {
   const std::string prefix = export_prefix();
   std::string out;
-  char buf[256];
-  for (const auto& [name, value] : counters_) {
-    std::snprintf(buf, sizeof buf,
-                  "{\"kind\":\"counter\",\"name\":\"%s%s\",\"value\":%lld}\n",
-                  prefix.c_str(), name.c_str(), static_cast<long long>(value));
-    out += buf;
-  }
-  for (const auto& [name, value] : gauges_) {
-    std::snprintf(buf, sizeof buf,
-                  "{\"kind\":\"gauge\",\"name\":\"%s%s\",\"value\":%lld}\n",
-                  prefix.c_str(), name.c_str(), static_cast<long long>(value));
-    out += buf;
-  }
+  auto scalar = [&](const char* kind, const std::string& name,
+                    std::int64_t value) {
+    out += std::string("{\"kind\":\"") + kind + "\",\"name\":\"" + prefix +
+           name + "\",\"value\":" + std::to_string(value) + "}\n";
+  };
+  for (const auto& [name, value] : counters_) scalar("counter", name, value);
+  for (const auto& [name, value] : gauges_) scalar("gauge", name, value);
   for (const auto& [name, h] : histograms_) {
-    std::snprintf(
-        buf, sizeof buf,
-        "{\"kind\":\"histogram\",\"name\":\"%s%s\",\"count\":%lld,"
-        "\"sum\":%lld,\"max\":%lld}\n",
-        prefix.c_str(), name.c_str(), static_cast<long long>(h.count()),
-        static_cast<long long>(h.sum()), static_cast<long long>(h.max()));
-    out += buf;
+    out += "{\"kind\":\"histogram\",\"name\":\"" + prefix + name +
+           "\",\"count\":" + std::to_string(h.count()) +
+           ",\"sum\":" + std::to_string(h.sum()) +
+           ",\"max\":" + std::to_string(h.max()) + "}\n";
   }
   return out;
 }

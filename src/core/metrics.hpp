@@ -1,6 +1,7 @@
-// Per-connection metrics registry: named counters, gauges and histograms
-// with a proc-style text dump (mirroring the paper's /proc/net/mptcp_prog
-// debugging interface) and CSV/JSONL export for benches.
+// Metrics registry: named counters, gauges and histograms with a proc-style
+// text dump (mirroring the paper's /proc/net/mptcp_prog debugging interface)
+// and a JSONL export. Connections and hosts each own one, and it is the only
+// place their run-time counts, levels and states are rendered.
 //
 // Hot paths obtain stable pointers/handles once and bump them without any
 // name lookup; rendering walks the (ordered) maps only at dump time, so the
@@ -45,7 +46,7 @@ class MetricHistogram {
 class MetricsRegistry {
  public:
   /// Tags every exported series of this registry with a connection id:
-  /// dump/CSV/JSONL names gain a "conn<id>." prefix so the registries of
+  /// dump/JSONL names gain a "conn<id>." prefix so the registries of
   /// many connections can be merged into one host-level dump and still be
   /// demuxed. -1 (the default) keeps the untagged single-connection format.
   void set_conn_id(int id) { conn_id_ = id; }
@@ -67,9 +68,6 @@ class MetricsRegistry {
   /// proc-style text dump: one "name value" line per metric, histograms as
   /// "name count=... mean=... p50=... p99=... max=...".
   [[nodiscard]] std::string proc_dump() const;
-
-  /// CSV export: "kind,name,field,value" rows.
-  [[nodiscard]] std::string to_csv() const;
 
   /// One JSON object per metric per line.
   [[nodiscard]] std::string to_jsonl() const;

@@ -1,6 +1,7 @@
 #include "mptcp/connection.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "mptcp/path_health.hpp"
 #include "mptcp/skb_pool.hpp"
@@ -202,6 +203,28 @@ void MptcpConnection::set_scheduler(std::unique_ptr<Scheduler> scheduler) {
 }
 
 namespace {
+
+/// One meta queue's contents as the registry reports them.
+struct QueueWalk {
+  std::int64_t seq_lo = 0;     ///< lowest meta_seq (0 when empty)
+  std::int64_t seq_hi = 0;     ///< highest meta_seq (0 when empty)
+  std::int64_t sent = 0;       ///< packets scheduled on at least one subflow
+  std::int64_t flow_ends = 0;  ///< packets carrying the end-of-flow signal
+};
+
+QueueWalk walk(const PacketQueue& queue) {
+  QueueWalk w;
+  bool first = true;
+  for (const SkbPtr& skb : queue) {
+    const auto seq = static_cast<std::int64_t>(skb->meta_seq);
+    w.seq_lo = first ? seq : std::min(w.seq_lo, seq);
+    w.seq_hi = first ? seq : std::max(w.seq_hi, seq);
+    first = false;
+    if (skb->sent_mask != 0) ++w.sent;
+    if (skb->props.flow_end) ++w.flow_ends;
+  }
+  return w;
+}
 
 /// Stand-in installed while the real program is quarantined: the built-in
 /// default scheduler behind the regular Scheduler interface.
@@ -829,7 +852,6 @@ void MptcpConnection::refresh_metrics() {
   *metrics_.counter("engine.trigger_drops") = sched_stats_.trigger_drops;
   *metrics_.counter("engine.sched_faults") = sched_stats_.sched_faults;
   for (std::size_t k = 1; k < fault_counts_.size(); ++k) {
-    if (fault_counts_[k] == 0) continue;  // keep fault-free dumps unchanged
     *metrics_.counter(std::string("engine.sched_faults.") +
                       fault_kind_name(static_cast<FaultKind>(k))) =
         fault_counts_[k];
@@ -841,13 +863,28 @@ void MptcpConnection::refresh_metrics() {
   *metrics_.gauge("conn.q_len") = static_cast<std::int64_t>(queues_.q.size());
   *metrics_.gauge("conn.qu_len") = static_cast<std::int64_t>(queues_.qu.size());
   *metrics_.gauge("conn.rq_len") = static_cast<std::int64_t>(queues_.rq.size());
+  *metrics_.gauge("conn.q_bytes") = queues_.q.bytes();
   *metrics_.gauge("conn.qu_bytes") = queues_.qu.bytes();
+  *metrics_.gauge("conn.rq_bytes") = queues_.rq.bytes();
+  const QueueWalk q = walk(queues_.q);
+  const QueueWalk qu = walk(queues_.qu);
+  const QueueWalk rq = walk(queues_.rq);
+  *metrics_.gauge("conn.q_seq_lo") = q.seq_lo;
+  *metrics_.gauge("conn.q_seq_hi") = q.seq_hi;
+  *metrics_.gauge("conn.qu_seq_lo") = qu.seq_lo;
+  *metrics_.gauge("conn.qu_seq_hi") = qu.seq_hi;
+  *metrics_.gauge("conn.qu_sent") = qu.sent;
+  *metrics_.gauge("conn.flow_ends") = q.flow_ends + qu.flow_ends + rq.flow_ends;
   *metrics_.gauge("conn.rwnd_bytes") = rwnd_;
+  *metrics_.gauge("conn.persist_armed") = persist_armed_ ? 1 : 0;
+  *metrics_.gauge("conn.quarantined") = scheduler_quarantined() ? 1 : 0;
+  *metrics_.gauge("conn.quarantine_signal") = quarantine_signal_;
 
   *metrics_.counter("trace.emitted") =
       static_cast<std::int64_t>(trace_.total_emitted());
   *metrics_.counter("trace.overwritten") =
       static_cast<std::int64_t>(trace_.overwritten());
+  *metrics_.gauge("trace.enabled") = trace_.enabled() ? 1 : 0;
 
   *metrics_.counter("conn.stalls") = stalls_;
   *metrics_.counter("conn.stall_rescues") = stall_rescues_;
@@ -872,6 +909,7 @@ void MptcpConnection::refresh_metrics() {
   *metrics_.counter("conn.fallbacks") = fallbacks_;
   *metrics_.gauge("conn.fallback_state") =
       static_cast<std::int64_t>(fallback_state_);
+  *metrics_.gauge("conn.fallback_survivor") = fallback_survivor_;
   *metrics_.counter("conn.ack_tampered_acks") = ack_tampered_acks_;
   *metrics_.counter("conn.fallback_rejected_joins") = fallback_rejected_joins_;
   *metrics_.counter("recv.mapping_lost") = receiver_->mapping_lost_segments();
@@ -902,7 +940,8 @@ void MptcpConnection::refresh_metrics() {
     *metrics_.counter(p + "rtos") = s.rtos;
     *metrics_.counter(p + "deaths") = s.deaths;
     *metrics_.counter(p + "revivals") = s.revivals;
-    *metrics_.gauge(p + "established") = sbf->established() ? 1 : 0;
+    // 0 established, 1 failed, 2 closed: SubflowSender::State's order.
+    *metrics_.gauge(p + "state") = static_cast<std::int64_t>(sbf->state());
     const sim::Link::Stats& fwd =
         paths_[static_cast<std::size_t>(sbf->slot())]->forward.stats();
     *metrics_.counter(p + "link_drops_down") = fwd.drops_down;
@@ -919,6 +958,8 @@ void MptcpConnection::refresh_metrics() {
     *metrics_.gauge(p + "in_flight") = info.skbs_in_flight;
     *metrics_.gauge(p + "queued") = info.queued;
     *metrics_.gauge(p + "rtt_us") = info.rtt.us();
+    *metrics_.gauge(p + "delivery_rate") =
+        std::llround(info.delivery_rate_bps);
   }
 }
 

@@ -347,14 +347,14 @@ class MptcpConnection {
   [[nodiscard]] Tracer& tracer() { return trace_; }
   [[nodiscard]] const Tracer& tracer() const { return trace_; }
 
-  /// Per-connection metrics registry. Counters mirroring SchedulerStats and
-  /// per-subflow state are refreshed by refresh_metrics(); the engine keeps
-  /// the execution histograms up to date live.
-  [[nodiscard]] MetricsRegistry& metrics() { return metrics_; }
-
-  /// Syncs the registry's counters/gauges with the authoritative stats
-  /// (SchedulerStats, subflow stats, queue depths) — called before a dump.
-  void refresh_metrics();
+  /// Per-connection metrics registry, current at every call: counters and
+  /// gauges are synced from the authoritative state (SchedulerStats,
+  /// subflow, receiver and queue state) before it is returned; the engine
+  /// keeps the execution histograms up to date live.
+  [[nodiscard]] const MetricsRegistry& metrics() {
+    refresh_metrics();
+    return metrics_;
+  }
 
   /// Execution environment that ran the most recent scheduler execution
   /// ("ebpf", "native", ...), for the proc dump.
@@ -382,6 +382,9 @@ class MptcpConnection {
   void schedule_revival_check(int slot, TimeNs delay);
   std::unique_ptr<tcp::CongestionControl> make_cc();
   void reinject_orphans(const std::vector<SkbPtr>& orphans);
+  /// Syncs the registry's counters and gauges from the authoritative state;
+  /// metrics() runs it on every read.
+  void refresh_metrics();
   void run_engine();
   bool run_scheduler_once(Trigger t);
   void apply_actions(const SchedulerContext& ctx);

@@ -224,28 +224,4 @@ void PathHealthMonitor::refresh_metrics(MetricsRegistry& m) const {
   }
 }
 
-std::string PathHealthMonitor::proc_dump() const {
-  std::string out;
-  char buf[224];
-  for (int s = 0; s < static_cast<int>(slots_.size()); ++s) {
-    const Slot& st = slots_[static_cast<std::size_t>(s)];
-    if (!st.attached) continue;
-    std::snprintf(
-        buf, sizeof buf,
-        "path_health: sbf%d probing=%s probes=%lld keepalives=%lld "
-        "acks=%lld insane=%lld revivals=%lld keepalive_deaths=%lld "
-        "last_rtt_us=%lld\n",
-        s, st.probing ? "yes" : "no",
-        static_cast<long long>(st.slot_stats.probes_sent),
-        static_cast<long long>(st.slot_stats.keepalives_sent),
-        static_cast<long long>(st.slot_stats.probe_acks),
-        static_cast<long long>(st.slot_stats.insane_acks),
-        static_cast<long long>(st.slot_stats.probe_revivals),
-        static_cast<long long>(st.slot_stats.keepalive_deaths),
-        static_cast<long long>(st.slot_stats.last_probe_rtt.us()));
-    out += buf;
-  }
-  return out;
-}
-
 }  // namespace progmp::mptcp

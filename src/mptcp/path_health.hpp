@@ -29,7 +29,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "core/time.hpp"
 #include "mptcp/skb.hpp"
@@ -75,9 +74,8 @@ class PathHealthMonitor {
     return slots_[static_cast<std::size_t>(slot)].slot_stats;
   }
 
+  /// Writes the per-slot sbf<N>.* probe and keepalive entries.
   void refresh_metrics(MetricsRegistry& m) const;
-  /// Per-slot "path_health:" lines for the proc dump.
-  [[nodiscard]] std::string proc_dump() const;
 
   /// Wire size of a probe: one bare header, zero payload.
   static constexpr std::int64_t kProbeWireBytes = 60;

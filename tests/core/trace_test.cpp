@@ -2,6 +2,9 @@
 // trace-derived series reconstruction, and the metrics registry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "core/metrics.hpp"
 #include "core/trace.hpp"
 
@@ -146,8 +149,39 @@ TEST(MetricsRegistryTest, CountersAndGaugesAreStableAndDumped) {
   EXPECT_NE(dump.find("engine.executions 42"), std::string::npos);
   EXPECT_NE(dump.find("conn.q_len 7"), std::string::npos);
   EXPECT_NE(dump.find("engine.insns_per_exec count=1"), std::string::npos);
-  EXPECT_FALSE(reg.to_csv().empty());
   EXPECT_FALSE(reg.to_jsonl().empty());
+}
+
+TEST(MetricsRegistryTest, LongNamesKeepTheirValueAndLine) {
+  // Names carry caller input (prog.fault_score.<program name>), so no name
+  // length may cut a rendered line short or glue two metrics together.
+  MetricsRegistry reg;
+  const std::string name = "prog.fault_score." + std::string(300, 'x');
+  *reg.counter("a.before") = 2;
+  *reg.gauge(name) = 7;
+  *reg.gauge("z.after") = 1;
+  reg.histogram(name)->add(5);
+  auto lines = [](const std::string& text) {
+    return std::count(text.begin(), text.end(), '\n');
+  };
+
+  const std::string dump = reg.proc_dump();
+  EXPECT_EQ(lines(dump), 4) << dump;
+  EXPECT_NE(dump.find("\n" + name + " 7\nz.after 1\n"), std::string::npos)
+      << dump;
+  EXPECT_NE(dump.find("\n" + name + " count=1 mean=5.0 "), std::string::npos)
+      << dump;
+
+  const std::string jsonl = reg.to_jsonl();
+  EXPECT_EQ(lines(jsonl), 4) << jsonl;
+  EXPECT_NE(jsonl.find("{\"kind\":\"gauge\",\"name\":\"" + name +
+                       "\",\"value\":7}\n"
+                       "{\"kind\":\"gauge\",\"name\":\"z.after\""),
+            std::string::npos)
+      << jsonl;
+  EXPECT_NE(jsonl.find("\"name\":\"" + name + "\",\"count\":1,\"sum\":5,"),
+            std::string::npos)
+      << jsonl;
 }
 
 }  // namespace

@@ -193,8 +193,7 @@ TEST(HostileSpecTest, FlapperQuarantinedWithDoublingCooldown) {
   EXPECT_GT(w.flapper->written_bytes(), 0);
 
   // Observability: metric, manager stats, proc lines.
-  w.host.refresh_metrics();
-  EXPECT_EQ(*w.host.metrics().counter("host.quarantines"),
+  EXPECT_EQ(w.host.metrics().counter_value("host.quarantines"),
             static_cast<std::int64_t>(quarantines.size()));
   EXPECT_EQ(w.host.quarantine()->total_quarantines(),
             static_cast<std::int64_t>(quarantines.size()));
@@ -214,9 +213,12 @@ TEST(HostileSpecTest, QuarantineSignalReachesR94AndClears) {
   EXPECT_TRUE(w.flapper->scheduler_quarantined());
   EXPECT_EQ(w.flapper->quarantine_signal(), 1);
   EXPECT_TRUE(w.host.quarantine()->quarantined("flapper"));
-  // The parked state shows in the connection's proc section while active.
+  // The parked state shows in the connection's registry while active.
   const std::string dump = w.host.proc_dump();
-  EXPECT_NE(dump.find("quarantine: parked=yes signal=1"), std::string::npos)
+  const std::string conn = "conn" + std::to_string(w.flapper->conn_id());
+  EXPECT_NE(dump.find(conn + ".conn.quarantined 1\n"), std::string::npos)
+      << dump;
+  EXPECT_NE(dump.find(conn + ".conn.quarantine_signal 1\n"), std::string::npos)
       << dump;
 
   // Cooldown expires at ~101ms -> probation (R94 = 2) until ~151ms.

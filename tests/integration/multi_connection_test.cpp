@@ -239,7 +239,7 @@ TEST(MultiConnectionTest, HostProcDumpCoversConnectionsAndNetwork) {
   fleet->sim.run_until(seconds(1));
 
   const std::string dump = fleet->host->proc_dump();
-  EXPECT_NE(dump.find("connections: 2"), std::string::npos);
+  EXPECT_NE(dump.find("\nhost.connections 2\n"), std::string::npos);
   EXPECT_NE(dump.find("conn 0 (scheduler=minrtt)"), std::string::npos);
   EXPECT_NE(dump.find("conn 1 (scheduler=minrtt)"), std::string::npos);
   EXPECT_NE(dump.find("=== network ==="), std::string::npos);
