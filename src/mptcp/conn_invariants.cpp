@@ -59,12 +59,33 @@ void install_connection_invariants(InvariantChecker& checker,
   checker.add_check(
       "byte_conservation", [&conn]() -> std::optional<std::string> {
         std::int64_t outstanding = 0;
-        for (const auto& [seq, skb] : conn.unacked()) outstanding += skb->size;
+        for (const SkbPtr& skb : conn.unacked()) outstanding += skb->size;
         const std::int64_t accounted =
             static_cast<std::int64_t>(conn.meta_una_bytes()) + outstanding;
         if (accounted != conn.written_bytes()) {
           return "meta_una_bytes + unacked = " + std::to_string(accounted) +
                  " != written " + std::to_string(conn.written_bytes());
+        }
+        return std::nullopt;
+      });
+
+  checker.add_check(
+      "unacked_dense", [&conn]() -> std::optional<std::string> {
+        // The ring holds every written, unacked meta_seq in order from
+        // meta_una; a misaligned ring would ACK or requeue the wrong skb.
+        const auto& unacked = conn.unacked();
+        const std::uint64_t span = conn.next_meta_seq() - conn.meta_una();
+        if (unacked.size() != span) {
+          return "unacked holds " + std::to_string(unacked.size()) +
+                 " skbs for meta_seq span [" + std::to_string(conn.meta_una()) +
+                 ", " + std::to_string(conn.next_meta_seq()) + ")";
+        }
+        if (!unacked.empty() && (unacked.front()->meta_seq != conn.meta_una() ||
+                                 unacked.back()->meta_seq + 1 !=
+                                     conn.next_meta_seq())) {
+          return "unacked ring misaligned: front " + skb_id(*unacked.front()) +
+                 ", back " + skb_id(*unacked.back()) + ", meta_una " +
+                 std::to_string(conn.meta_una());
         }
         return std::nullopt;
       });
@@ -109,7 +130,7 @@ void install_connection_invariants(InvariantChecker& checker,
       "sent_mask_sanity", [&conn]() -> std::optional<std::string> {
         const std::uint32_t valid =
             (1u << static_cast<unsigned>(conn.subflow_count())) - 1u;
-        for (const auto& [seq, skb] : conn.unacked()) {
+        for (const SkbPtr& skb : conn.unacked()) {
           if ((skb->sent_mask & ~valid) != 0) {
             return skb_id(*skb) + " sent_mask " +
                    std::to_string(skb->sent_mask) +
@@ -212,7 +233,7 @@ void install_connection_invariants(InvariantChecker& checker,
 
   checker.add_check(
       "no_stranded_packets", [&conn]() -> std::optional<std::string> {
-        for (const auto& [seq, skb] : conn.unacked()) {
+        for (const SkbPtr& skb : conn.unacked()) {
           if (skb->acked || skb->dropped) continue;
           if (skb->in_q || skb->in_rq) continue;
           bool owned = conn.receiver().has_received(skb->meta_seq);

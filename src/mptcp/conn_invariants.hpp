@@ -26,6 +26,8 @@
 // Strided checks (full scans; their violations are persistent, so a sparser
 // cadence still catches them):
 //  * byte_conservation — meta_una_bytes + sum(unacked sizes) == written;
+//  * unacked_dense — the unacked ring holds exactly meta_seq
+//    [meta_una, next_meta_seq), front and back aligned (O(1));
 //  * queue_membership — Q/QU/RQ entries carry the matching membership flag,
 //    hold no duplicates and no ACKed/DROPped packets, and qu_bytes matches
 //    the actual QU byte sum;

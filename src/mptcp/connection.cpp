@@ -268,7 +268,7 @@ void MptcpConnection::write(std::int64_t bytes, const SkbProps& props) {
     skb->props.flow_end = props.flow_end && remaining == 0;
     skb->queued_at = sim_.now();
     queues_.q.push_back(skb);
-    unacked_.emplace(skb->meta_seq, skb);
+    unacked_.push_back(skb);
   }
   written_bytes_ += bytes;
   trigger({TriggerKind::kDataPushed, -1});
@@ -703,14 +703,12 @@ void MptcpConnection::handle_meta_ack(std::uint64_t meta_ack,
                                       std::int64_t wnd_stamp) {
   apply_window(wnd_stamp, rwnd);
   while (meta_una_ < meta_ack) {
-    auto it = unacked_.find(meta_una_);
-    if (it != unacked_.end()) {
-      const SkbPtr skb = it->second;
-      skb->acked = true;
-      meta_una_bytes_ = skb->byte_offset + static_cast<std::uint64_t>(skb->size);
-      detach_everywhere(skb);
-      unacked_.erase(it);
-    }
+    PROGMP_CHECK_MSG(!unacked_.empty(), "meta ACK beyond the written data");
+    const SkbPtr skb = std::move(unacked_.front());
+    unacked_.pop_front();
+    skb->acked = true;
+    meta_una_bytes_ = skb->byte_offset + static_cast<std::uint64_t>(skb->size);
+    detach_everywhere(skb);
     ++meta_una_;
   }
 }
@@ -728,9 +726,8 @@ void MptcpConnection::on_mapping_failure(int slot, std::uint64_t meta_seq,
   // front of the meta sending queue — NOT the reinjection queue: specs
   // without a reinjection clause (opportunistic_redundant only ever pops Q)
   // must still carry the packet after the fallback below pins the survivor.
-  auto it = unacked_.find(meta_seq);
-  if (it != unacked_.end()) {
-    const SkbPtr& skb = it->second;
+  if (meta_seq >= meta_una_ && meta_seq < next_meta_seq_) {
+    const SkbPtr& skb = unacked_[meta_seq - meta_una_];
     if (!skb->acked && !skb->dropped && !skb->in_rq && !skb->in_q) {
       queues_.q.push_front(skb);
       trigger({TriggerKind::kDataPushed, slot});

@@ -15,7 +15,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/metrics.hpp"
@@ -287,10 +286,10 @@ class MptcpConnection {
   [[nodiscard]] const PacketQueue& reinjection_queue() const {
     return queues_.rq;
   }
-  [[nodiscard]] const std::unordered_map<std::uint64_t, SkbPtr>& unacked()
-      const {
-    return unacked_;
-  }
+  /// Written, not yet meta-acked packets; entry i is meta_seq meta_una() + i.
+  [[nodiscard]] const std::deque<SkbPtr>& unacked() const { return unacked_; }
+  [[nodiscard]] std::uint64_t meta_una() const { return meta_una_; }
+  [[nodiscard]] std::uint64_t next_meta_seq() const { return next_meta_seq_; }
   /// Bytes in flight at the meta level — the QU byte aggregate, maintained
   /// incrementally by the queue layer.
   [[nodiscard]] std::int64_t qu_bytes() const { return queues_.qu.bytes(); }
@@ -516,7 +515,9 @@ class MptcpConnection {
   /// the bundle is the single QueueId -> queue mapping shared with the
   /// scheduler context.
   QueueBundle queues_;
-  std::unordered_map<std::uint64_t, SkbPtr> unacked_;  ///< meta_seq -> skb
+  /// Ring indexed from meta_una_: write() appends each new meta_seq, the
+  /// cumulative meta ACK pops the front, so entry i is meta_una_ + i.
+  std::deque<SkbPtr> unacked_;
 
   std::vector<std::int64_t> registers_;
 

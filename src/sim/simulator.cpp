@@ -71,6 +71,19 @@ void Simulator::cancel(EventId id) {
   take_and_free(idx);
   ++cancelled_;
   --live_;
+  ++stale_;
+  if (stale_ * 2 > heap_.size() && heap_.size() > kCompactFloor) compact();
+}
+
+void Simulator::compact() {
+  // (at, seq) is a total order, so which stale entries the heap still holds
+  // never changes which live event pops next: dropping them early is
+  // invisible to event order.
+  std::erase_if(heap_, [this](const Entry& e) { return stale(e); });
+  if (heap_.size() > 1) {
+    for (std::size_t i = (heap_.size() - 2) / 4 + 1; i-- > 0;) sift_down(i);
+  }
+  stale_ = 0;
 }
 
 Simulator::Callback Simulator::take_and_free(std::uint32_t slot_idx) {
@@ -115,7 +128,12 @@ void Simulator::run_until(TimeNs deadline) {
     const TimeNs t = heap_.front().at;
     const std::size_t start = batch_.size();
     while (!heap_.empty() && heap_.front().at == t) {
-      batch_.push_back(pop_entry());
+      const Entry e = pop_entry();
+      if (stale(e)) {
+        --stale_;
+      } else {
+        batch_.push_back(e);
+      }
     }
     for (std::size_t i = start; i < batch_.size(); ++i) {
       // A batch-mate may have cancelled this entry after it was popped.

@@ -11,10 +11,12 @@
 //    the low half of the EventId); the binary heap orders 24-byte POD
 //    entries, so sifting never touches a callback, an allocator or a
 //    refcount.
-//  * cancel() is O(1): it bumps the slot's liveness and destroys the
-//    callback immediately, releasing anything it captured (SkbPtrs of
+//  * cancel() is O(1) amortised: it bumps the slot's liveness and destroys
+//    the callback immediately, releasing anything it captured (SkbPtrs of
 //    long-armed timers included). The heap entry stays behind as a stale
-//    record and is discarded when it surfaces (lazy deletion).
+//    record and is discarded when it surfaces (lazy deletion), or earlier
+//    by a compaction once stale entries outnumber live ones — an RTO
+//    re-armed on every ACK would otherwise leave one dead entry per ACK.
 //  * EventFn stores callables up to kInlineBytes inline — scheduling a
 //    typical transport lambda (a couple of pointers plus a bound
 //    std::function) costs zero heap allocations.
@@ -209,7 +211,8 @@ class Simulator {
   [[nodiscard]] std::uint64_t cancelled() const { return cancelled_; }
 
   /// Current heap length including stale (cancelled, not yet discarded)
-  /// entries — the lazy-deletion backlog is heap_depth() - pending().
+  /// entries — the lazy-deletion backlog is heap_depth() - pending(), kept
+  /// at most about pending() by compaction.
   [[nodiscard]] std::size_t heap_depth() const { return heap_.size(); }
 
   /// Hook invoked after every executed event, with the clock still at the
@@ -246,8 +249,19 @@ class Simulator {
   /// Pops stale (cancelled) entries off the heap head so the head, if any,
   /// is a live event whose time can be trusted against a deadline.
   void prune_head() {
-    while (!heap_.empty() && stale(heap_.front())) pop_entry();
+    while (!heap_.empty() && stale(heap_.front())) {
+      pop_entry();
+      --stale_;
+    }
   }
+
+  /// Compaction: below this heap length stale entries are left to surface.
+  static constexpr std::size_t kCompactFloor = 64;
+
+  /// Drops every stale entry and rebuilds the heap bottom-up. O(n), run only
+  /// after more than n/2 cancels since the last one, so a cancel stays
+  /// amortised O(1).
+  void compact();
 
   // 4-ary min-heap on (at, seq): shallower than a binary heap and the four
   // children share a cache line pair, so sifts touch less memory — the heap
@@ -277,6 +291,11 @@ class Simulator {
   std::uint64_t executed_ = 0;
   std::uint64_t cancelled_ = 0;
   std::size_t live_ = 0;
+  /// Stale entries in heap_, bumped by each cancel of a live event. It may
+  /// overestimate: a batch-mate cancelled after run_until() popped it into
+  /// batch_ is counted but no longer in heap_. That only brings a
+  /// compaction forward, and a compaction resets the count.
+  std::size_t stale_ = 0;
   std::vector<Entry> heap_;
   std::vector<Entry> batch_;  ///< same-timestamp dispatch scratch
   // deque: slots never relocate when the pool grows mid-callback.
