@@ -118,8 +118,7 @@ Result run(const char* scheduler, int rto_death_threshold,
     for (int s = 0; s < conn.subflow_count(); ++s) {
       const mptcp::PathHealthMonitor::SlotStats& ph = health->stats(s);
       result.probe_wire_bytes +=
-          (ph.probes_sent + ph.keepalives_sent) *
-              mptcp::PathHealthMonitor::kProbeWireBytes +
+          (ph.probes_sent + ph.keepalives_sent) * mptcp::kHeaderBytes +
           ph.probe_acks * mptcp::SubflowSender::kAckBytes;
     }
   }

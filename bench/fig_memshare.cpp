@@ -75,9 +75,7 @@ SweepRow run_sweep_point(int conns, int frac_pct, bool mixed_priority,
 
   const std::int64_t aggregate = kDemandBytes * conns;
   api::Host::Options opts;
-  opts.host_recv_mem_bytes = aggregate * frac_pct / 100;
-  opts.recv_autotune = true;
-  opts.mem_shed = true;
+  opts.mem_pool.pool_bytes = aggregate * frac_pct / 100;
   api::Host host(sim, api, Rng(0x3E3A11 + static_cast<std::uint64_t>(conns)),
                  opts);
   apps::install_fleet_network(host.network());
@@ -86,7 +84,7 @@ SweepRow run_sweep_point(int conns, int frac_pct, bool mixed_priority,
   row.conns = conns;
   row.frac_pct = frac_pct;
   row.mixed_priority = mixed_priority;
-  row.pool_bytes = opts.host_recv_mem_bytes;
+  row.pool_bytes = opts.mem_pool.pool_bytes;
 
   std::vector<mptcp::MptcpConnection*> admitted;
   std::vector<int> priorities;

@@ -21,14 +21,8 @@ Host::Host(sim::Simulator& sim, ProgmpApi& api, Rng rng, Options opts)
     // connection id: they belong to the topology, not to one tenant.
     network_.set_tracer(&host_trace_);
   }
-  if (opts_.host_recv_mem_bytes > 0) {
-    RecvMemPool::Config pc;
-    pc.pool_bytes = opts_.host_recv_mem_bytes;
-    pc.min_share_bytes = opts_.mem_min_share_bytes;
-    pc.floor_share_bytes = opts_.mem_floor_share_bytes;
-    pc.shed_enabled = opts_.mem_shed;
-    pc.shed_after = opts_.mem_shed_after;
-    mem_pool_ = std::make_unique<RecvMemPool>(sim_, pc);
+  if (opts_.mem_pool.pool_bytes > 0) {
+    mem_pool_ = std::make_unique<RecvMemPool>(sim_, opts_.mem_pool);
     mem_pool_->set_apply_grant_fn(
         [this](int conn_id, std::int64_t grant, bool shed) {
           connection(conn_id).set_recv_buf_grant(grant, shed);
@@ -100,16 +94,16 @@ mptcp::MptcpConnection* Host::open_connection(
       if (error != nullptr) {
         *error = "receive-memory pool exhausted: cannot grant a minimum "
                  "share of " +
-                 std::to_string(std::min(opts_.mem_min_share_bytes, demand)) +
+                 std::to_string(std::min(RecvMemPool::kMinShareBytes, demand)) +
                  " bytes (pool " +
-                 std::to_string(opts_.host_recv_mem_bytes) + ", granted " +
+                 std::to_string(opts_.mem_pool.pool_bytes) + ", granted " +
                  std::to_string(mem_pool_->granted_bytes()) + ")";
       }
       return nullptr;
     }
     pooled = true;
     cfg.receiver.recv_buf_bytes = grant;
-    if (opts_.recv_autotune) cfg.receiver.autotune = true;
+    cfg.receiver.autotune = true;
   }
 
   auto conn = std::make_unique<mptcp::MptcpConnection>(sim_, std::move(cfg),
@@ -192,6 +186,7 @@ void Host::refresh_metrics() {
   *metrics_.counter("skb_pool.recycled") =
       static_cast<std::int64_t>(pool.chunks_recycled);
   *metrics_.gauge("skb_pool.slabs") = static_cast<std::int64_t>(pool.slabs);
+  network_.refresh_metrics(metrics_);
   if (mem_pool_ != nullptr) {
     const RecvMemPool::Stats& ps = mem_pool_->stats();
     *metrics_.gauge("host.mem.pool_bytes") = mem_pool_->config().pool_bytes;
@@ -228,8 +223,6 @@ std::string Host::proc_dump() {
            " (scheduler=" + scheduler_names_[i] + ") ===\n";
     out += ProgmpApi::proc_dump(*connections_[i]);
   }
-  out += "\n=== network ===\n";
-  out += network_.proc_dump();
   return out;
 }
 

@@ -7,7 +7,8 @@
 // scheduler costs a small wrapper, never a recompilation), and aggregates
 // observability across tenants — every connection's tracer is tagged with
 // its connection id and forwards into one host-level ring, and proc_dump()
-// renders all connections plus the per-link contention stats of the network.
+// renders the per-link contention stats of the network plus all
+// connections.
 //
 // This is the layer that turns the one-connection simulator into the
 // fairness/fleet testbed the multi-flow experiments need: N homogeneous
@@ -46,23 +47,14 @@ class Host {
     /// Ring capacity of the aggregated host tracer.
     std::size_t trace_capacity = 1 << 18;
 
-    // ---- Receive-memory pool (RecvMemPool) ---------------------------------
-    /// Total receive memory shared by all connections. 0 (the default)
-    /// disables the pool entirely: every connection keeps its private
-    /// static recv_buf_bytes — the seed behaviour.
-    std::int64_t host_recv_mem_bytes = 0;
-    /// Admission floor: open_connection refuses (returns nullptr) when the
-    /// pool cannot grant at least this much.
-    std::int64_t mem_min_share_bytes = 64 * 1024;
-    /// Shed floor for demoted connections.
-    std::int64_t mem_floor_share_bytes = 32 * 1024;
-    /// Turns on receiver autotuning (DRS) for pool-managed connections:
-    /// each starts at a small initial buffer and grows toward 2xBDP within
-    /// its grant instead of holding the full demand from byte one.
-    bool recv_autotune = false;
-    /// Enables the shed policy after `mem_shed_after` pressure episodes.
-    bool mem_shed = false;
-    int mem_shed_after = 3;
+    /// Receive memory shared by all connections. With pool_bytes 0 (the
+    /// default) there is no pool: every connection keeps its private static
+    /// recv_buf_bytes — the seed behaviour. With a pool, every connection
+    /// autotunes its buffer (DRS) within its grant: it starts small and
+    /// grows toward 2xBDP instead of holding the full demand from byte one.
+    /// open_connection refuses (returns nullptr) a connection the pool
+    /// cannot grant RecvMemPool::kMinShareBytes.
+    RecvMemPool::Config mem_pool;
 
     // ---- Hostile-spec quarantine (SpecQuarantine) --------------------------
     /// Per-program runtime-fault containment: a scheduler that keeps
@@ -121,14 +113,14 @@ class Host {
   [[nodiscard]] std::int64_t total_wire_bytes_sent() const;
 
   /// Aggregated /proc-style dump: the quarantine configuration (when
-  /// enabled) and the host registry, one section per connection
-  /// (conn-id-tagged metrics included), then the network's per-link
-  /// contention and drop accounting.
+  /// enabled) and the host registry (the network's per-link contention and
+  /// drop accounting included), then one section per connection
+  /// (conn-id-tagged metrics included).
   [[nodiscard]] std::string proc_dump();
 
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
 
-  /// The receive-memory pool — null while Options::host_recv_mem_bytes is 0.
+  /// The receive-memory pool — null while Options::mem_pool.pool_bytes is 0.
   [[nodiscard]] RecvMemPool* mem_pool() { return mem_pool_.get(); }
   [[nodiscard]] const RecvMemPool* mem_pool() const { return mem_pool_.get(); }
 
@@ -139,9 +131,9 @@ class Host {
     return quarantine_.get();
   }
 
-  /// Host-level metrics (host.*, sim.*, skb_pool.*, and the host.mem.* /
-  /// quarantine entries of whichever managers exist), current at every
-  /// call.
+  /// Host-level metrics (host.*, sim.*, skb_pool.*, the network's net.*
+  /// link figures, and the host.mem.* / quarantine entries of whichever
+  /// managers exist), current at every call.
   [[nodiscard]] const MetricsRegistry& metrics() {
     refresh_metrics();
     return metrics_;

@@ -92,7 +92,7 @@ std::string ProgmpApi::proc_dump(mptcp::MptcpConnection& conn) {
          " stall_timeout=" + cc.stall_timeout.str() +
          " stall_rescue=" + on_off(cc.stall_rescue) +
          " autotune=" + on_off(cc.receiver.autotune) +
-         " dss_checksum=" + on_off(cc.receiver.dss_checksum) +
+         " middlebox_fallback=" + on_off(cc.middlebox_fallback) +
          " trace_capacity=" + std::to_string(cc.trace_capacity) + '\n';
   out += "-- metrics --\n";
   out += conn.metrics().proc_dump();

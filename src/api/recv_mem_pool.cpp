@@ -61,7 +61,7 @@ void RecvMemPool::reclaim(std::int64_t needed, int extra_weight) {
     if (free_bytes() >= needed) return;
     Member& m = members_.at(id);
     const std::int64_t fair =
-        std::max(std::min(cfg_.min_share_bytes, m.demand),
+        std::max(std::min(kMinShareBytes, m.demand),
                  fair_share(m.priority, extra_weight));
     if (m.grant > fair) set_grant(id, m, fair, /*shed_mark=*/false);
   }
@@ -70,7 +70,7 @@ void RecvMemPool::reclaim(std::int64_t needed, int extra_weight) {
   for (int id : order) {
     if (free_bytes() >= needed) return;
     Member& m = members_.at(id);
-    const std::int64_t floor = std::min(cfg_.min_share_bytes, m.demand);
+    const std::int64_t floor = std::min(kMinShareBytes, m.demand);
     if (m.grant > floor) set_grant(id, m, floor, /*shed_mark=*/false);
   }
 }
@@ -79,7 +79,7 @@ std::int64_t RecvMemPool::admit(int conn_id, int priority,
                                 std::int64_t demand_bytes) {
   PROGMP_CHECK(!is_member(conn_id));
   PROGMP_CHECK(priority >= 1);
-  const std::int64_t min_needed = std::min(cfg_.min_share_bytes, demand_bytes);
+  const std::int64_t min_needed = std::min(kMinShareBytes, demand_bytes);
   const std::int64_t want =
       std::clamp(fair_share(priority, priority), min_needed, demand_bytes);
   if (free_bytes() < want) reclaim(want, priority);
@@ -148,14 +148,14 @@ std::vector<int> RecvMemPool::member_ids() const {
 void RecvMemPool::note_pressure() {
   const TimeNs now = sim_.now();
   if (last_episode_at_ >= TimeNs{0} &&
-      now - last_episode_at_ < cfg_.episode_min_interval) {
+      now - last_episode_at_ < kEpisodeMinInterval) {
     return;
   }
   last_episode_at_ = now;
   ++episodes_;
   ++stats_.pressure_episodes;
   schedule_broadcast(episodes_);
-  if (cfg_.shed_enabled && episodes_ >= cfg_.shed_after) do_shed();
+  if (episodes_ >= cfg_.shed_after) do_shed();
 }
 
 void RecvMemPool::clear_pressure() {
@@ -171,9 +171,9 @@ void RecvMemPool::do_shed() {
   // so a shed episode always frees something.
   bool shed_any = false;
   for (int id : victims_in_shed_order()) {
-    if (shed_any && free_bytes() >= cfg_.min_share_bytes) break;
+    if (shed_any && free_bytes() >= kMinShareBytes) break;
     Member& m = members_.at(id);
-    const std::int64_t floor = std::min(cfg_.floor_share_bytes, m.demand);
+    const std::int64_t floor = std::min(kFloorShareBytes, m.demand);
     if (m.shed || m.grant <= floor) continue;
     m.shed = true;
     ++stats_.sheds;
@@ -206,7 +206,7 @@ void RecvMemPool::schedule_restore() {
       // Re-grow a restored member toward the admission minimum if the pool
       // has room; anything beyond that is the autotuner's job again.
       const std::int64_t back =
-          std::min({std::min(cfg_.min_share_bytes, m.demand) - m.grant,
+          std::min({std::min(kMinShareBytes, m.demand) - m.grant,
                     free_bytes(), m.demand - m.grant});
       set_grant(id, m, m.grant + std::max<std::int64_t>(0, back),
                 /*shed_mark=*/true);

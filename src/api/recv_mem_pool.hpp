@@ -46,21 +46,23 @@ class RecvMemPool {
  public:
   struct Config {
     /// Total receive memory the host will promise across all connections.
+    /// 0 (the default) means no pool: Host runs every connection on its
+    /// private static recv_buf_bytes.
     std::int64_t pool_bytes = 0;
-    /// Admission floor: a connection that cannot be granted this much
-    /// (after reclaim) is refused.
-    std::int64_t min_share_bytes = 64 * 1024;
-    /// Shed floor: demoted connections keep this much so they drain and
-    /// recover instead of deadlocking on a zero window forever.
-    std::int64_t floor_share_bytes = 32 * 1024;
-    /// Enables the shed policy (demote-to-floor under sustained pressure).
-    bool shed_enabled = false;
-    /// Pressure episodes (rate-limited growth shortfalls) before shedding.
+    /// Pressure episodes (rate-limited growth shortfalls) before the shed
+    /// policy demotes members to kFloorShareBytes.
     int shed_after = 3;
-    /// Minimum spacing between counted pressure episodes — a burst of
-    /// starved grow requests within one window is one episode, not many.
-    TimeNs episode_min_interval = milliseconds(100);
   };
+
+  /// Admission floor: a connection that cannot be granted this much (after
+  /// reclaim) is refused.
+  static constexpr std::int64_t kMinShareBytes = 64 * 1024;
+  /// Shed floor: demoted connections keep this much so they drain and
+  /// recover instead of deadlocking on a zero window forever.
+  static constexpr std::int64_t kFloorShareBytes = 32 * 1024;
+  /// Minimum spacing between counted pressure episodes — a burst of starved
+  /// grow requests within one window is one episode, not many.
+  static constexpr TimeNs kEpisodeMinInterval = milliseconds(100);
 
   struct Stats {
     std::int64_t admissions = 0;

@@ -282,10 +282,8 @@ ChaosVerdict run_chaos_plan_mem(const ChaosPlan& plan,
   PROGMP_CHECK_MSG(papi.load_builtin("minrtt", &err), err.c_str());
 
   api::Host::Options hopts;
-  hopts.host_recv_mem_bytes = plan.pool_bytes;
-  hopts.recv_autotune = true;
-  hopts.mem_shed = true;
-  hopts.mem_shed_after = 2;
+  hopts.mem_pool.pool_bytes = plan.pool_bytes;
+  hopts.mem_pool.shed_after = 2;
   api::Host host(sim, papi, Rng(plan.seed ^ 0xc4a05f00dULL), hopts);
   install_fleet_network(host.network(), /*wifi_ap_mbps=*/16,
                         /*lte_cell_mbps=*/48);
@@ -303,8 +301,6 @@ ChaosVerdict run_chaos_plan_mem(const ChaosPlan& plan,
     cfg.stall_rescue = opts.stall_rescue;
     cfg.receiver.recv_buf_bytes = plan.recv_buf_bytes;
     cfg.receiver.app_read_bytes_per_sec = plan.app_read_bytes_per_sec;
-    cfg.receiver.enforce_recv_buf = true;
-    cfg.receiver.coalesce_window_updates = true;
     cfg.middlebox_fallback = opts.middlebox_tamper;
     mptcp::MptcpConnection* conn = host.open_connection(cfg, "minrtt", &err);
     // The plan draws the pool large enough for every admission minimum —
@@ -451,8 +447,6 @@ ChaosVerdict run_chaos_plan_hostile(const ChaosPlan& plan,
     cfg.stall_rescue = opts.stall_rescue;
     cfg.receiver.recv_buf_bytes = plan.recv_buf_bytes;
     cfg.receiver.app_read_bytes_per_sec = plan.app_read_bytes_per_sec;
-    cfg.receiver.enforce_recv_buf = true;
-    cfg.receiver.coalesce_window_updates = true;
     const bool hostile_tenant = i == 0;
     mptcp::MptcpConnection* conn = host.open_connection(
         cfg, hostile_tenant ? hostile_sched : "minrtt", &err);
@@ -534,8 +528,6 @@ ChaosVerdict run_chaos_plan(const ChaosPlan& plan, const ChaosOptions& opts) {
   if (opts.harden_receiver) {
     cfg.receiver.recv_buf_bytes = plan.recv_buf_bytes;
     cfg.receiver.app_read_bytes_per_sec = plan.app_read_bytes_per_sec;
-    cfg.receiver.enforce_recv_buf = true;
-    cfg.receiver.coalesce_window_updates = true;
   }
   cfg.middlebox_fallback = opts.middlebox_tamper;
   if (opts.capture_trace) {

@@ -106,9 +106,8 @@ struct ChaosOptions {
 
   // ---- Receive-window hardening -------------------------------------------
   /// Randomize the receiver shape per seed — recv_buf size and app-read
-  /// rate — and arm recv-buf enforcement and SWS window-update coalescing.
-  /// The app-read rate choices stay above the CBR write rate so the stream
-  /// remains drainable and final delivery stays assertable.
+  /// rate. The app-read rate choices stay above the CBR write rate so the
+  /// stream remains drainable and final delivery stays assertable.
   bool harden_receiver = true;
   /// When positive, overrides the plan's drawn recv_buf_bytes — the CI
   /// small-buffer (256 KB) chaos variant.

@@ -150,14 +150,11 @@ void install_connection_invariants(InvariantChecker& checker,
                  std::to_string(rx.rwnd_bytes()) + ", sender view " +
                  std::to_string(conn.rwnd_bytes());
         }
-        // The occupancy bound only holds once enforcement is on — without
-        // it the reassembly buffers are unbounded by design (seed mode).
         // The bound is the liability envelope, not the raw target: after a
         // pool reclaim shrank the buffer, data sent against the pre-shrink
         // advertisement is still legitimate until consumed (== the static
         // recv_buf_bytes whenever the buffer was never resized).
-        if (rx.config().enforce_recv_buf &&
-            rx.buffered_bytes() > rx.mem_liability_bytes()) {
+        if (rx.buffered_bytes() > rx.mem_liability_bytes()) {
           return "receive buffer overrun: unread+ooo " +
                  std::to_string(rx.buffered_bytes()) + " > liability " +
                  std::to_string(rx.mem_liability_bytes());
@@ -177,9 +174,7 @@ void install_connection_invariants(InvariantChecker& checker,
       [&conn, prev_edge]() -> std::optional<std::string> {
         const std::uint64_t edge = conn.right_edge_bytes();
         std::optional<std::string> bad;
-        if (edge > *prev_edge &&
-            edge > conn.meta_una_bytes() +
-                       static_cast<std::uint64_t>(conn.rwnd_bytes())) {
+        if (edge > *prev_edge && edge > conn.window_edge_bytes()) {
           bad = "transmitted right edge " + std::to_string(edge) +
                 " grew past meta_una " + std::to_string(conn.meta_una_bytes()) +
                 " + advertised window " + std::to_string(conn.rwnd_bytes());

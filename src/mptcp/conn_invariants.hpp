@@ -15,9 +15,9 @@
 //    window; within one event the final pump() always sees the final cwnd,
 //    so growth beyond it is a real violation. This rule needs *consecutive*
 //    boundaries, hence the every-event class.
-//  * recv_buffer_bound — the advertised window is never negative, and (with
-//    Receiver::Config::enforce_recv_buf) unread + out-of-order bytes never
-//    exceed recv_buf_bytes;
+//  * recv_buffer_bound — the advertised window is never negative, and
+//    unread + out-of-order bytes never exceed the receiver's liability
+//    envelope (recv_buf_bytes unless the buffer was resized);
 //  * sender_within_window — the transmitted right edge never *grows* past
 //    meta_una + the advertised window. Growth-gated like inflight_le_cwnd:
 //    cross-path ACK reordering can legitimately shrink the sender's window

@@ -11,12 +11,7 @@ namespace progmp::mptcp {
 MptcpConnection::MptcpConnection(sim::Simulator& sim, Config cfg, Rng rng)
     : sim_(sim), cfg_(std::move(cfg)), rng_(rng), trace_(cfg_.trace_capacity) {
   PROGMP_CHECK(!cfg_.subflows.empty());
-  PROGMP_CHECK(cfg_.num_registers > 0 && cfg_.num_registers <= 64);
-  registers_.assign(static_cast<std::size_t>(cfg_.num_registers), 0);
-
-  // The fallback machine needs the receiver's detection path: arming the
-  // connection knob implies DSS-checksum validation + mapping-loss reports.
-  if (cfg_.middlebox_fallback) cfg_.receiver.dss_checksum = true;
+  registers_.assign(kNumRegisters, 0);
 
   trace_.set_enabled(cfg_.trace_enabled);
   trace_.set_conn_id(cfg_.conn_id);
@@ -35,16 +30,20 @@ MptcpConnection::MptcpConnection(sim::Simulator& sim, Config cfg, Rng rng)
   receiver_->set_window_update_fn(
       [this](std::int64_t wnd_stamp, std::uint64_t /*meta_ack*/,
              std::int64_t rwnd) { deliver_window_update(wnd_stamp, rwnd); });
-  receiver_->set_mapping_failure_fn(
-      [this](int slot, std::uint64_t meta_seq, MappingFailure cause) {
-        on_mapping_failure(slot, meta_seq, cause);
-      });
+  if (cfg_.middlebox_fallback) {
+    // The fallback machine needs the receiver's detection path: DSS-checksum
+    // validation and mapping-loss reports.
+    receiver_->set_mapping_failure_fn(
+        [this](int slot, std::uint64_t meta_seq, MappingFailure cause) {
+          on_mapping_failure(slot, meta_seq, cause);
+        });
+  }
 
   // Long-lived scheduler context over the queue bundle; reset() re-arms it
   // per execution so the hot trigger path reuses the log capacity.
   sched_ctx_.emplace(sim_.now(), Trigger{}, std::span<const SubflowInfo>{},
-                     &queues_, registers_.data(), cfg_.num_registers,
-                     std::int64_t{0}, &sched_stats_, &trace_);
+                     &queues_, registers_.data(), kNumRegisters,
+                     std::uint64_t{0}, &sched_stats_, &trace_);
 
   if (cfg_.cc == CcKind::kLia) {
     lia_group_ = std::make_shared<tcp::LiaCoupling>();
@@ -93,7 +92,7 @@ int MptcpConnection::create_subflow(const SubflowSpec& spec) {
     paths_.push_back(&p);
     p.forward.set_tracer(&trace_, slot, /*direction=*/0);
     p.reverse.set_tracer(&trace_, slot, /*direction=*/1);
-    p.forward.set_state_change_fn(
+    p.forward.add_state_observer(
         [this, slot](bool up) { on_path_state(slot, up); });
   } else {
     // Shared path: the network owns links, tracer attachment and RNG; this
@@ -111,9 +110,9 @@ int MptcpConnection::create_subflow(const SubflowSpec& spec) {
   }
   SubflowSender::Host host;
   host.may_transmit = [this](const SkbPtr& skb) {
-    // TCP window check on the right edge: offsets below it always fit.
+    // The same window test as the scheduler's HAS_WINDOW_FOR.
     return skb->byte_offset + static_cast<std::uint64_t>(skb->size) <=
-           meta_una_bytes_ + static_cast<std::uint64_t>(rwnd_);
+           window_edge_bytes();
   };
   host.on_transmitted = [this](const SkbPtr& skb) {
     right_edge_bytes_ =
@@ -187,13 +186,9 @@ int MptcpConnection::create_subflow(const SubflowSpec& spec) {
     }
   };
 
-  SubflowSender::Config sender_cfg = spec.sender;
-  if (sender_cfg.rto_death_threshold == 0) {
-    sender_cfg.rto_death_threshold = cfg_.rto_death_threshold;
-  }
   subflows_.push_back(std::make_unique<SubflowSender>(
-      sim_, *paths_.back(), *receiver_, slot, std::move(sender_cfg), make_cc(),
-      std::move(host)));
+      sim_, *paths_.back(), *receiver_, slot, spec.sender,
+      cfg_.rto_death_threshold, make_cc(), std::move(host)));
   subflows_.back()->set_tracer(&trace_);
   return slot;
 }
@@ -250,11 +245,9 @@ void MptcpConnection::reinstate_scheduler() {
 void MptcpConnection::write(std::int64_t bytes, const SkbProps& props) {
   PROGMP_CHECK_MSG(scheduler_ != nullptr, "no scheduler installed");
   PROGMP_CHECK(bytes > 0);
-  const std::int64_t mss =
-      subflows_.front()->config().mss;  // uniform across subflows
   std::int64_t remaining = bytes;
   while (remaining > 0) {
-    const auto size = static_cast<std::int32_t>(std::min(remaining, mss));
+    const auto size = static_cast<std::int32_t>(std::min(remaining, kMss));
     remaining -= size;
     auto skb = make_skb();
     skb->meta_seq = next_meta_seq_++;
@@ -275,13 +268,13 @@ void MptcpConnection::write(std::int64_t bytes, const SkbProps& props) {
 }
 
 void MptcpConnection::set_register(int idx, std::int64_t value) {
-  PROGMP_CHECK(idx >= 0 && idx < cfg_.num_registers);
+  PROGMP_CHECK(idx >= 0 && idx < kNumRegisters);
   registers_[static_cast<std::size_t>(idx)] = value;
   trigger({TriggerKind::kRegisterSet, -1});
 }
 
 std::int64_t MptcpConnection::get_register(int idx) const {
-  PROGMP_CHECK(idx >= 0 && idx < cfg_.num_registers);
+  PROGMP_CHECK(idx >= 0 && idx < kNumRegisters);
   return registers_[static_cast<std::size_t>(idx)];
 }
 
@@ -450,16 +443,16 @@ void MptcpConnection::apply_window(std::int64_t wnd_stamp, std::int64_t rwnd) {
 }
 
 bool MptcpConnection::rwnd_blocked() const {
-  // Free window for the next packet, tested first: it is O(1) and settles
-  // the common case at every engine drain. Reinjections sit below the
-  // transmitted right edge and always fit, so RQ alone never counts as
-  // window-blocked.
-  const std::int64_t claimed =
-      static_cast<std::int64_t>(right_edge_bytes_ - meta_una_bytes_);
-  const std::int64_t need =
-      queues_.q.empty() ? subflows_.front()->config().mss
-                        : queues_.q.front()->size;
-  if (rwnd_ - claimed >= need) return false;
+  // Whether the window fits the next packet, tested first: it is O(1) and
+  // settles the common case at every engine drain. The next packet is Q's
+  // front, or one MSS past the right edge when Q is empty. Reinjections
+  // are not considered, so RQ alone never counts as window-blocked.
+  const std::uint64_t next_end =
+      queues_.q.empty()
+          ? right_edge_bytes_ + static_cast<std::uint64_t>(kMss)
+          : queues_.q.front()->byte_offset +
+                static_cast<std::uint64_t>(queues_.q.front()->size);
+  if (next_end <= window_edge_bytes()) return false;
   bool any_established = false;
   std::int64_t in_flight = 0;
   bool pending = !queues_.q.empty();
@@ -507,18 +500,17 @@ void MptcpConnection::schedule_persist_probe(std::uint64_t epoch) {
 
 void MptcpConnection::send_zero_window_probe(int slot) {
   ++zero_window_probes_;
-  const std::int64_t claimed =
-      static_cast<std::int64_t>(right_edge_bytes_ - meta_una_bytes_);
+  const std::uint64_t edge = window_edge_bytes();
+  const std::uint64_t free_bytes =
+      edge > right_edge_bytes_ ? edge - right_edge_bytes_ : 0;
   trace_.emit(TraceEventType::kZeroWindowProbe, sim_.now(), slot,
-              persist_backoff_, std::max<std::int64_t>(0, rwnd_ - claimed));
+              persist_backoff_, static_cast<std::int64_t>(free_bytes));
   // A header-only segment below the window edge; the peer answers with a
   // pure ACK carrying its live window (RFC 9293 §3.8.6.1). Both legs ride
   // the real links, so a blacked-out path eats probes until it heals.
   sim::NetPath* path = paths_[static_cast<std::size_t>(slot)];
-  const std::int64_t header =
-      subflows_[static_cast<std::size_t>(slot)]->config().header_bytes;
   std::weak_ptr<int> guard{alive_};
-  path->forward.send(header, nullptr, [this, guard, slot, path] {
+  path->forward.send(kHeaderBytes, nullptr, [this, guard, slot, path] {
     if (guard.expired()) return;
     const AckInfo ack = receiver_->peek_ack(slot);
     path->reverse.send(SubflowSender::kAckBytes, nullptr, [this, guard, ack] {
@@ -642,15 +634,10 @@ bool MptcpConnection::run_scheduler_once(Trigger t) {
   const TimeNs now = sim_.now();
   for (const auto& sbf : subflows_) infos_.push_back(sbf->info(now));
 
-  // Free window for *new* data: advertised window minus the span already
-  // claimed by the transmitted right edge. The context is long-lived
-  // (capacity of the action/log vectors survives across executions);
-  // reset() re-arms it for this execution.
-  const std::int64_t claimed =
-      static_cast<std::int64_t>(right_edge_bytes_ - meta_una_bytes_);
+  // The context is long-lived (capacity of the action/log vectors survives
+  // across executions); reset() re-arms it for this execution.
   SchedulerContext& ctx = *sched_ctx_;
-  ctx.reset(now, t, infos_, std::max<std::int64_t>(0, rwnd_ - claimed),
-            cfg_.middlebox_fallback ? right_edge_bytes_ : 0);
+  ctx.reset(now, t, infos_, window_edge_bytes());
   ctx.set_env_signals({mem_pressure_level_, receiver_->dsack_dup_segments(),
                        static_cast<std::int64_t>(fallback_state_),
                        quarantine_signal_});

@@ -69,7 +69,6 @@ class MptcpConnection {
     std::vector<SubflowSpec> subflows;
     Receiver::Config receiver;
     CcKind cc = CcKind::kReno;
-    int num_registers = 8;
     /// Shared topology for subflow specs that reference a path by id.
     /// Must outlive the connection; may stay null when every spec inlines a
     /// private link pair (the single-tenant default).
@@ -91,9 +90,10 @@ class MptcpConnection {
     std::size_t trace_capacity = Tracer::kDefaultCapacity;
 
     // ---- Resilience ---------------------------------------------------------
-    /// Connection-wide default for SubflowSender::Config::rto_death_threshold
-    /// (applied to subflows whose spec leaves it at 0). 0 disables death
-    /// detection — the seed behaviour, bit-identical at the same seed.
+    /// Consecutive RTOs (no intervening ACK progress) after which a subflow
+    /// declares itself dead and its stranded packets move to RQ. Applies to
+    /// every subflow. 0 disables death detection (seed behaviour: a dead
+    /// path backs off forever).
     int rto_death_threshold = 0;
     /// Revival hysteresis for flapping paths: a restored forward link must
     /// stay up this long before the failed subflow is re-admitted; another
@@ -131,12 +131,13 @@ class MptcpConnection {
 
     // ---- Middlebox-interference fallback (RFC 8684 §3.7) --------------------
     /// Arms the fallback state machine: receiver-side detection (DSS
-    /// checksum validation + mapping-loss reporting; implies
-    /// receiver.dss_checksum) and sender-side ACK-option-strip detection
-    /// feed enter_fallback(), which elects a surviving subflow, abandons
-    /// the rest (harvesting their in-flight data into RQ) and pins the
-    /// connection to single-path operation. Off = seed behaviour: a naive
-    /// stack that wedges or delivers corrupt data under interference.
+    /// checksum validation + mapping-loss reporting, armed by installing
+    /// the receiver's MappingFailureFn) and sender-side ACK-option-strip
+    /// detection feed enter_fallback(), which elects a surviving subflow,
+    /// abandons the rest (returning their in-flight data to the front of
+    /// Q) and pins the connection to single-path operation. Off = seed
+    /// behaviour: a naive stack that wedges or delivers corrupt data under
+    /// interference.
     bool middlebox_fallback = false;
   };
 
@@ -149,6 +150,9 @@ class MptcpConnection {
   /// blocked episode.
   static constexpr TimeNs kPersistInterval = milliseconds(200);
   static constexpr TimeNs kPersistIntervalMax = seconds(2);
+
+  /// Application-owned scheduler registers (R1..R8, §3.2).
+  static constexpr int kNumRegisters = 8;
 
   /// Called for every segment delivered in order to the receiving
   /// application: (meta_seq, size, delivery time).
@@ -297,6 +301,13 @@ class MptcpConnection {
   [[nodiscard]] std::uint64_t meta_una_bytes() const { return meta_una_bytes_; }
   [[nodiscard]] std::uint64_t right_edge_bytes() const {
     return right_edge_bytes_;
+  }
+  /// The receive window's right edge, DATA_ACK + rwnd, as a stream byte
+  /// offset: a packet fits iff its last byte lies within it. The
+  /// scheduler's HAS_WINDOW_FOR, the subflow's transmit gate and the
+  /// persist timer all test this one edge.
+  [[nodiscard]] std::uint64_t window_edge_bytes() const {
+    return meta_una_bytes_ + static_cast<std::uint64_t>(rwnd_);
   }
 
   // ---- Receive-window hardening introspection -----------------------------

@@ -101,7 +101,7 @@ void PathHealthMonitor::send_probe(int s, bool keepalive) {
   const TimeNs sent_at = sim_.now();
   std::weak_ptr<int> guard{alive_};
   conn_.path(s).forward.send(
-      kProbeWireBytes, nullptr,
+      kHeaderBytes, nullptr,
       [this, guard, s, epoch, sent_at, keepalive] {
         if (guard.expired()) return;
         // The far end echoes every probe immediately as a pure ACK.

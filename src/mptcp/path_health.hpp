@@ -1,8 +1,8 @@
 // Active path-health probing (the "kernel re-probes" gap from ROADMAP).
 //
 // Two probing duties, both built from the same zero-payload keepalive probe
-// (a bare 60-byte header on the forward link, echoed as a pure ACK on the
-// reverse link):
+// (a bare kHeaderBytes header on the forward link, echoed as a pure ACK on
+// the reverse link):
 //
 //  * Revival probing — a *failed* subflow is probed on an exponential
 //    schedule (kProbeInterval doubling up to kProbeIntervalMax). Revival
@@ -77,8 +77,6 @@ class PathHealthMonitor {
   /// Writes the per-slot sbf<N>.* probe and keepalive entries.
   void refresh_metrics(MetricsRegistry& m) const;
 
-  /// Wire size of a probe: one bare header, zero payload.
-  static constexpr std::int64_t kProbeWireBytes = 60;
   /// Initial spacing of revival probes; doubles per probe up to
   /// kProbeIntervalMax (reset by an up-transition or a sane echo).
   static constexpr TimeNs kProbeInterval = milliseconds(200);

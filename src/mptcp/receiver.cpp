@@ -23,8 +23,10 @@ AckInfo Receiver::on_data(const DataSegment& seg) {
   // up). In-order data always fits — the advertised window already charges
   // for unread bytes, and OOO data inside the advertised span never shrank
   // it — so only the slow-path-fills-the-buffer pathology is cut off here.
-  if (cfg_.enforce_recv_buf && would_park(rx, seg) &&
-      buffered_bytes() + seg.size > mem_liability_bytes()) {
+  // The arithmetic bound goes first: it settles the common case in two
+  // compares, without the reassembly lookup.
+  if (buffered_bytes() + seg.size > mem_liability_bytes() &&
+      would_park(rx, seg)) {
     ++recv_buf_drops_;
     if (trace_ != nullptr) {
       trace_->emit(TraceEventType::kRecvBufDrop, sim_.now(), seg.sbf_slot,
@@ -122,9 +124,9 @@ void Receiver::reset_subflow(int slot) {
 }
 
 void Receiver::meta_receive_checked(const DataSegment& seg) {
-  const bool csum_bad =
-      cfg_.dss_checksum && !seg.dss_stripped &&
-      seg.dss_csum != dss_checksum(seg.meta_seq, seg.size);
+  const bool detect = mapping_failure_fn_ != nullptr;
+  const bool csum_bad = detect && !seg.dss_stripped &&
+                        seg.dss_csum != dss_checksum(seg.meta_seq, seg.size);
   if (seg.dss_stripped) {
     // The bytes arrived as plain TCP data with no DSS mapping: the subflow
     // level already processed (and will ACK) them, but the meta layer has
@@ -132,12 +134,10 @@ void Receiver::meta_receive_checked(const DataSegment& seg) {
     // the sender can requeue the data and fall back (RFC 8684 section 3.7);
     // a naive one silently loses the data at the meta level and the
     // transfer wedges on the never-advancing DATA_ACK.
-    if (cfg_.dss_checksum) {
+    if (detect) {
       ++mapping_lost_segments_;
-      if (mapping_failure_fn_) {
-        mapping_failure_fn_(seg.sbf_slot, seg.meta_seq,
-                            MappingFailure::kStripped);
-      }
+      mapping_failure_fn_(seg.sbf_slot, seg.meta_seq,
+                          MappingFailure::kStripped);
     }
     return;
   }
@@ -146,16 +146,12 @@ void Receiver::meta_receive_checked(const DataSegment& seg) {
     // mapping itself is intact but the data under it is not trustworthy —
     // discard it and report, exactly what the checksum exists for.
     ++csum_fail_segments_;
-    if (mapping_failure_fn_) {
-      mapping_failure_fn_(seg.sbf_slot, seg.meta_seq,
-                          MappingFailure::kChecksum);
-    }
+    mapping_failure_fn_(seg.sbf_slot, seg.meta_seq, MappingFailure::kChecksum);
     return;
   }
   if (seg.payload_rewritten) {
-    // Detection is off (or the checksum happened to be unvalidated): the
-    // rewritten payload is delivered as if genuine. Count it so benches can
-    // show what the naive receiver silently accepts.
+    // Detection is off: the rewritten payload is delivered as if genuine.
+    // Count it so benches can show what the naive receiver silently accepts.
     const bool first_seen =
         seg.meta_seq >= meta_expected_ && !meta_ooo_.contains(seg.meta_seq);
     if (first_seen) corrupt_delivered_bytes_ += seg.size;
@@ -255,8 +251,7 @@ void Receiver::maybe_autotune() {
     // scheduler hiccup or a loss burst), then halve at most per epoch so a
     // transient lull never slams the window shut.
     if (++drs_low_epochs_ >= 2) {
-      const std::int64_t floor =
-          std::min(cfg_.autotune_min_bytes, recv_buf_limit_);
+      const std::int64_t floor = std::min(kAutotuneMinBytes, recv_buf_limit_);
       const std::int64_t next =
           std::max({want, floor, recv_buf_target_ / 2});
       if (next < recv_buf_target_) {
@@ -288,16 +283,14 @@ void Receiver::schedule_app_read() {
 
 void Receiver::maybe_emit_window_update() {
   const std::int64_t rwnd = rwnd_bytes();
-  if (cfg_.coalesce_window_updates) {
-    // SWS avoidance (RFC 9293 §3.8.6.2.2): silly little window advances are
-    // swallowed; only a window opening from zero or a full-MSS gain since
-    // the last advertisement is worth an update of its own.
-    const bool opens_from_zero = last_advertised_rwnd_ <= 0 && rwnd > 0;
-    const bool grew_an_mss = rwnd - last_advertised_rwnd_ >= cfg_.sws_mss_bytes;
-    if (!opens_from_zero && !grew_an_mss) {
-      ++window_updates_coalesced_;
-      return;
-    }
+  // SWS avoidance (RFC 9293 §3.8.6.2.2): silly little window advances are
+  // swallowed; only a window opening from zero or a full-MSS gain since the
+  // last advertisement is worth an update of its own.
+  const bool opens_from_zero = last_advertised_rwnd_ <= 0 && rwnd > 0;
+  const bool grew_an_mss = rwnd - last_advertised_rwnd_ >= kMss;
+  if (!opens_from_zero && !grew_an_mss) {
+    ++window_updates_coalesced_;
+    return;
   }
   ++window_updates_emitted_;
   last_advertised_rwnd_ = rwnd;
@@ -337,7 +330,7 @@ std::optional<std::string> Receiver::audit() const {
     return "recv_buf_target " + std::to_string(recv_buf_target_) +
            " above limit " + std::to_string(recv_buf_limit_);
   }
-  if (cfg_.enforce_recv_buf && buffered_bytes() > mem_liability_bytes()) {
+  if (buffered_bytes() > mem_liability_bytes()) {
     return "receive buffer overrun: unread+ooo " +
            std::to_string(buffered_bytes()) + " > liability envelope " +
            std::to_string(mem_liability_bytes());

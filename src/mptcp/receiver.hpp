@@ -79,53 +79,37 @@ enum class ReceiverModel { kMultiLayer, kOptimized };
 
 class Receiver {
  public:
+  /// Recv-buf enforcement and SWS avoidance are always on:
+  ///  * a first-seen segment that would be *parked* (subflow OOO queue or
+  ///    meta reassembly) when unread + held OOO bytes cannot absorb it is
+  ///    dropped (kRecvBufDrop) instead of stored. In-order data is always
+  ///    accepted: it lies inside the advertised window, which already
+  ///    accounts for unread bytes.
+  ///  * a window update goes out only when the window opens from zero or
+  ///    has grown by at least kMss since the last advertisement (RFC 9293
+  ///    §3.8.6.2.2); smaller advances are counted as coalesced.
   struct Config {
     ReceiverModel model = ReceiverModel::kOptimized;
     std::int64_t recv_buf_bytes = 8 * 1024 * 1024;
     /// 0 means the application reads delivered data instantly; otherwise
     /// delivered bytes drain at this rate, shrinking the advertised window.
     std::int64_t app_read_bytes_per_sec = 0;
-    /// Enforce recv_buf_bytes against out-of-order data: a first-seen
-    /// segment that would be *parked* (subflow OOO queue or meta
-    /// reassembly) when unread + held OOO bytes cannot absorb it is dropped
-    /// (kRecvBufDrop) instead of stored — the reassembly buffers stop being
-    /// magically unbounded. In-order data is always accepted: it lies
-    /// inside the advertised window, which already accounts for unread
-    /// bytes. Default off = seed behaviour.
-    bool enforce_recv_buf = false;
-    /// SWS avoidance (RFC 9293 §3.8.6.2.2): only emit a window update when
-    /// the window opens from zero or has grown >= sws_mss_bytes since the
-    /// last advertisement (updates below that threshold are counted as
-    /// coalesced). Default off = one update per 4 KB app-read chunk (seed
-    /// behaviour).
-    bool coalesce_window_updates = false;
-    std::int32_t sws_mss_bytes = 1400;
-
-    // ---- Dynamic receive-buffer sizing (DRS) ------------------------------
-    /// Kernel-style receive-buffer autotuning: the *effective* buffer size
-    /// (recv_buf_target, which backs the advertised window) starts at
-    /// autotune_initial_bytes and is re-evaluated once per RTT (the
+    /// Kernel-style receive-buffer autotuning (DRS): the *effective* buffer
+    /// size (recv_buf_target, which backs the advertised window) starts at
+    /// kAutotuneInitialBytes and is re-evaluated once per RTT (the
     /// connection feeds set_rtt_hint) against 2x the bytes delivered that
     /// RTT — the classic grow-toward-2xBDP rule. It shrinks (halving at
     /// most, after two consecutive low epochs) when the reader drains and
     /// the flow no longer needs the space, and is always clamped to
-    /// [autotune_min_bytes, recv_buf_limit] where the limit is the host
+    /// [kAutotuneMinBytes, recv_buf_limit] where the limit is the host
     /// pool's grant (or recv_buf_bytes standalone). Default off = the
     /// static buffer of the seed.
     bool autotune = false;
-    std::int64_t autotune_min_bytes = 64 * 1024;
-    std::int64_t autotune_initial_bytes = 128 * 1024;
-
-    /// RFC 8684-style middlebox-interference detection: validate the DSS
-    /// checksum on every first-seen segment and treat mapping-less
-    /// (option-stripped) data as a mapping failure, reporting both through
-    /// MappingFailureFn so the connection can fall back to single-path
-    /// operation. Off (seed behaviour) the receiver is naive: stripped data
-    /// is silently unplaceable (the transfer wedges) and rewritten payloads
-    /// are delivered corrupt (counted by the corrupt_delivered_bytes
-    /// oracle). Default off = seed bit-identity.
-    bool dss_checksum = false;
   };
+
+  /// DRS floor and starting size (see Config::autotune).
+  static constexpr std::int64_t kAutotuneMinBytes = 64 * 1024;
+  static constexpr std::int64_t kAutotuneInitialBytes = 128 * 1024;
 
   /// Called for every segment that becomes deliverable to the application,
   /// in meta order.
@@ -141,11 +125,16 @@ class Receiver {
   using WindowUpdateFn = std::function<void(
       std::int64_t wnd_stamp, std::uint64_t meta_ack, std::int64_t rwnd_bytes)>;
 
-  /// Fired (only with Config::dss_checksum on) when a segment's data-level
-  /// mapping is unusable — stripped DSS option or checksum mismatch. The
-  /// subflow-level exchange already completed normally (TCP saw ordinary
-  /// data and will ACK it), so the connection must recover the meta-level
-  /// payload itself: requeue the skb and fall back per RFC 8684 §3.7.
+  /// Fired when a segment's data-level mapping is unusable — stripped DSS
+  /// option or checksum mismatch. Installing it arms RFC 8684-style
+  /// middlebox detection: the receiver validates the DSS checksum on every
+  /// first-seen segment and reports mapping-less data. The subflow-level
+  /// exchange already completed normally (TCP saw ordinary data and will
+  /// ACK it), so the connection must recover the meta-level payload itself:
+  /// requeue the skb and fall back per RFC 8684 §3.7. Without it the
+  /// receiver is naive: stripped data is silently unplaceable (the transfer
+  /// wedges) and rewritten payloads are delivered corrupt (counted by the
+  /// corrupt_delivered_bytes oracle).
   using MappingFailureFn = std::function<void(
       int sbf_slot, std::uint64_t meta_seq, MappingFailure cause)>;
 
@@ -160,8 +149,8 @@ class Receiver {
     recv_buf_target_ = cfg_.recv_buf_bytes;
     if (cfg_.autotune) {
       recv_buf_target_ =
-          std::clamp(cfg_.autotune_initial_bytes,
-                     std::min(cfg_.autotune_min_bytes, recv_buf_limit_),
+          std::clamp(kAutotuneInitialBytes,
+                     std::min(kAutotuneMinBytes, recv_buf_limit_),
                      recv_buf_limit_);
     }
     last_advertised_rwnd_ = recv_buf_target_;
@@ -225,7 +214,7 @@ class Receiver {
 
   // ---- Middlebox-interference accounting ------------------------------------
   /// Segments that arrived with their DSS mapping stripped and were caught
-  /// by detection (Config::dss_checksum on).
+  /// by detection (a MappingFailureFn installed).
   [[nodiscard]] std::int64_t mapping_lost_segments() const {
     return mapping_lost_segments_;
   }
@@ -283,7 +272,6 @@ class Receiver {
   [[nodiscard]] std::int64_t window_updates_coalesced() const {
     return window_updates_coalesced_;
   }
-  [[nodiscard]] const Config& config() const { return cfg_; }
 
   /// Whether the receiver holds (or already delivered) the payload of
   /// `meta_seq` — delivered in order, parked in the meta reassembly, or (in

@@ -94,9 +94,9 @@ struct SubflowInfo {
 // The top of the R1..R99 register file is reserved for values the runtime
 // maintains on the connection's behalf — specs read them like any register
 // (e.g. `IF R92 > R1 THEN ...`), writes to them are silently ignored. The
-// per-connection register file itself stays <= 64 entries (enforced by
-// MptcpConnection), so the overlay can never collide with an
-// application-owned register.
+// per-connection register file itself has MptcpConnection::kNumRegisters
+// (8) entries, so the overlay can never collide with an application-owned
+// register.
 
 /// R91: receive-memory pressure level of the owning host's pool (0 = no
 /// pressure; otherwise the episode count of the current pressure period).
@@ -176,20 +176,20 @@ class SchedulerContext {
     SkbPtr skb;
   };
 
+  /// `window_edge_bytes` is the receive window's right edge, DATA_ACK +
+  /// rwnd, as a stream byte offset (see has_window_for()).
   SchedulerContext(TimeNs now, Trigger trigger,
                    std::span<const SubflowInfo> subflows, QueueBundle* queues,
                    std::int64_t* registers, int num_registers,
-                   std::int64_t rwnd_free_bytes, SchedulerStats* stats,
-                   Tracer* trace = nullptr,
-                   std::uint64_t below_edge_bytes = 0)
+                   std::uint64_t window_edge_bytes, SchedulerStats* stats,
+                   Tracer* trace = nullptr)
       : now_(now),
         trigger_(trigger),
         subflows_(subflows),
         queues_(queues),
         registers_(registers),
         num_registers_(num_registers),
-        rwnd_free_bytes_(rwnd_free_bytes),
-        below_edge_bytes_(below_edge_bytes),
+        window_edge_bytes_(window_edge_bytes),
         stats_(stats),
         trace_(trace) {}
 
@@ -199,12 +199,11 @@ class SchedulerContext {
   /// reallocated on every trigger.
   void reset(TimeNs now, Trigger trigger,
              std::span<const SubflowInfo> subflows,
-             std::int64_t rwnd_free_bytes, std::uint64_t below_edge_bytes = 0) {
+             std::uint64_t window_edge_bytes) {
     now_ = now;
     trigger_ = trigger;
     subflows_ = subflows;
-    rwnd_free_bytes_ = rwnd_free_bytes;
-    below_edge_bytes_ = below_edge_bytes;
+    window_edge_bytes_ = window_edge_bytes;
     actions_.clear();
     undo_log_.clear();
     dropped_ = false;
@@ -269,20 +268,15 @@ class SchedulerContext {
 
   // ---- Misc ---------------------------------------------------------------
   /// Whether the receiver's advertised window can accommodate `skb`
-  /// (HAS_WINDOW_FOR, §3.3). Window accounting is at the meta level, so the
-  /// subflow argument of the DSL call does not change the outcome here.
-  /// A packet entirely below the transmitted right edge is a retransmission
-  /// and always fits, exactly like plain TCP (and like the engine's own
-  /// transmit gate) — a fallback harvest returns such packets to Q, and the
-  /// fresh-data budget must not wedge them. The engine only arms the
-  /// exemption (below_edge_bytes > 0) with the fallback machinery enabled.
+  /// (HAS_WINDOW_FOR, §3.3): its last byte lies within DATA_ACK + rwnd.
+  /// This is the same test the subflow applies before it transmits, so the
+  /// scheduler admits a packet exactly when the wire will send it. Window
+  /// accounting is at the meta level, so the subflow argument of the DSL
+  /// call does not change the outcome here.
   [[nodiscard]] bool has_window_for(const SkbPtr& skb) const {
-    if (skb == nullptr) return false;
-    if (skb->byte_offset + static_cast<std::uint64_t>(skb->size) <=
-        below_edge_bytes_) {
-      return true;
-    }
-    return skb->size <= rwnd_free_bytes_;
+    return skb != nullptr &&
+           skb->byte_offset + static_cast<std::uint64_t>(skb->size) <=
+               window_edge_bytes_;
   }
 
   [[nodiscard]] SchedulerStats& stats() { return *stats_; }
@@ -325,8 +319,7 @@ class SchedulerContext {
   std::int64_t* registers_;
   int num_registers_;
   EnvSignals env_;
-  std::int64_t rwnd_free_bytes_;
-  std::uint64_t below_edge_bytes_ = 0;
+  std::uint64_t window_edge_bytes_;
   SchedulerStats* stats_;
   Tracer* trace_;
 

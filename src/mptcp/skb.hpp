@@ -19,6 +19,14 @@ namespace progmp::mptcp {
 /// per-subflow bookkeeping uses fixed arrays of this size.
 inline constexpr int kMaxSubflows = 8;
 
+/// Payload bytes per segment: every subflow's MSS, the size write() splits
+/// application data into, and the window growth the receiver's SWS
+/// avoidance waits for before it advertises.
+inline constexpr std::int64_t kMss = 1400;
+/// Wire overhead of one segment. A header-only segment (zero-window probe,
+/// path-health probe) is exactly this size.
+inline constexpr std::int64_t kHeaderBytes = 60;
+
 /// Application-settable per-packet properties (the extended API's "packet
 /// properties", §3.2). Two general-purpose integers cover the paper's use
 /// cases: content class for HTTP/2-aware scheduling, priority flags, etc.
@@ -30,9 +38,10 @@ struct SkbProps {
 
 /// Deterministic stand-in for the RFC 8684 §3.3 DSS checksum: a hash over
 /// the mapping (meta_seq) and payload length, computed by the sender when a
-/// packet enters Q and validated by the receiver when Config::dss_checksum is
-/// on. A payload-rewriting middlebox changes the bytes but cannot fix the
-/// checksum, which is exactly what the real DSS checksum exists to catch.
+/// packet enters Q and validated by the receiver when the connection arms
+/// middlebox detection. A payload-rewriting middlebox changes the bytes but
+/// cannot fix the checksum, which is exactly what the real DSS checksum
+/// exists to catch.
 inline std::uint32_t dss_checksum(std::uint64_t meta_seq, std::int32_t size) {
   return static_cast<std::uint32_t>((meta_seq * 2654435761ULL) ^
                                     static_cast<std::uint32_t>(size));

@@ -7,6 +7,7 @@ namespace progmp::mptcp {
 
 SubflowSender::SubflowSender(sim::Simulator& sim, sim::NetPath& path,
                              Receiver& receiver, int slot, Config cfg,
+                             int rto_death_threshold,
                              std::unique_ptr<tcp::CongestionControl> cc,
                              Host host)
     : sim_(sim),
@@ -14,6 +15,7 @@ SubflowSender::SubflowSender(sim::Simulator& sim, sim::NetPath& path,
       receiver_(receiver),
       slot_(slot),
       cfg_(std::move(cfg)),
+      rto_death_threshold_(rto_death_threshold),
       cc_(std::move(cc)),
       host_(std::move(host)),
       established_at_(sim.now()),
@@ -96,7 +98,7 @@ void SubflowSender::put_on_wire(const TxSeg& seg, bool is_retransmit) {
                  dss_checksum(seg.meta_seq, seg.size)};
   std::weak_ptr<int> guard{alive_};
   const bool sent = path_.forward.send(
-      seg.size + cfg_.header_bytes,
+      seg.size + kHeaderBytes,
       /*on_serialized=*/
       [this, guard, size = seg.size] {
         if (guard.expired()) return;
@@ -241,8 +243,8 @@ void SubflowSender::on_rto_fired() {
   if (trace_ != nullptr) {
     trace_->emit(TraceEventType::kRto, sim_.now(), slot_, rto_backoff_);
   }
-  const int death_threshold = probation_ ? 1 : cfg_.rto_death_threshold;
-  if (cfg_.rto_death_threshold > 0 && consecutive_rtos_ >= death_threshold &&
+  const int death_threshold = probation_ ? 1 : rto_death_threshold_;
+  if (rto_death_threshold_ > 0 && consecutive_rtos_ >= death_threshold &&
       host_.on_subflow_dead) {
     // The path looks dead. Hand the decision to the connection (which is
     // expected to call fail()) instead of burning another retransmit on a
@@ -303,9 +305,9 @@ std::int64_t SubflowSender::tsq_budget_bytes() const {
   // the kernel's small-queue rule in the TSO era.
   const TimeNs srtt = rtt_.has_sample() ? rtt_.srtt() : path_.base_rtt();
   const double pacing_bps =
-      2.0 * tcp::RateEstimator::cwnd_rate(cc_->cwnd(), cfg_.mss, srtt);
+      2.0 * tcp::RateEstimator::cwnd_rate(cc_->cwnd(), kMss, srtt);
   const auto two_ms_worth = static_cast<std::int64_t>(pacing_bps / 500.0);
-  return std::clamp(two_ms_worth, cfg_.tsq_min_bytes, cfg_.tsq_max_bytes);
+  return std::clamp(two_ms_worth, kTsqMinBytes, kTsqMaxBytes);
 }
 
 SubflowInfo SubflowSender::info(TimeNs now) const {
@@ -326,7 +328,7 @@ SubflowInfo SubflowSender::info(TimeNs now) const {
   i.rtt_var = rtt_.has_sample() ? rtt_.rttvar() : path_.base_rtt() / 2;
   i.min_rtt = rtt_.has_sample() ? rtt_.min_rtt() : path_.base_rtt();
   i.last_rtt = rtt_.has_sample() ? rtt_.last_rtt() : path_.base_rtt();
-  i.mss = cfg_.mss;
+  i.mss = kMss;
   i.delivery_rate_bps = rate_.delivery_rate(now);
   i.capacity_bps = tcp::RateEstimator::cwnd_rate(i.cwnd, i.mss, i.rtt);
   i.established_at = established_at_;

@@ -42,18 +42,6 @@ class SubflowSender {
     /// the Linux `backup` flag, which makes the default scheduler avoid the
     /// subflow entirely while any non-backup subflow exists.
     bool preferred = true;
-    std::int64_t mss = 1400;
-    /// TSQ budget: at most ~2 ms of data at the estimated pacing rate may
-    /// sit in the local qdisc, clamped to [min, max] — mirroring the
-    /// kernel's TSO-era small-queue rule (2 full-size TSO packets floor,
-    /// tcp_limit_output_bytes ceiling).
-    std::int64_t tsq_min_bytes = 16 * 1024;
-    std::int64_t tsq_max_bytes = 256 * 1024;
-    std::int64_t header_bytes = 60;  ///< wire overhead per segment
-    /// Consecutive RTOs (no intervening ACK progress) after which the
-    /// subflow declares itself dead via Host::on_subflow_dead. 0 disables
-    /// detection (seed behaviour: a dead path backs off forever).
-    int rto_death_threshold = 0;
   };
 
   /// Callbacks into the owning connection.
@@ -110,8 +98,12 @@ class SubflowSender {
     std::int64_t revivals = 0;   ///< times a dead subflow was revived
   };
 
+  /// `rto_death_threshold`: consecutive RTOs (no intervening ACK progress)
+  /// after which the subflow declares itself dead via
+  /// Host::on_subflow_dead; 0 disables detection (the connection's
+  /// Config::rto_death_threshold).
   SubflowSender(sim::Simulator& sim, sim::NetPath& path, Receiver& receiver,
-                int slot, Config cfg,
+                int slot, Config cfg, int rto_death_threshold,
                 std::unique_ptr<tcp::CongestionControl> cc, Host host);
   ~SubflowSender();
 
@@ -191,6 +183,12 @@ class SubflowSender {
   static constexpr int kDupAckThreshold = 3;
   /// Wire size of a pure ACK on the reverse path.
   static constexpr std::int64_t kAckBytes = 64;
+  /// TSQ budget: at most ~2 ms of data at the estimated pacing rate may sit
+  /// in the local qdisc, clamped to [min, max] — mirroring the kernel's
+  /// TSO-era small-queue rule (2 full-size TSO packets floor,
+  /// tcp_limit_output_bytes ceiling).
+  static constexpr std::int64_t kTsqMinBytes = 16 * 1024;
+  static constexpr std::int64_t kTsqMaxBytes = 256 * 1024;
   /// Cap on the exponential RTO backoff multiplier (kernel-style 64x).
   static constexpr int kMaxRtoBackoff = 64;
   /// Hard ceiling on the armed retransmission timeout after backoff — the
@@ -229,6 +227,7 @@ class SubflowSender {
   Receiver& receiver_;
   int slot_;
   Config cfg_;
+  int rto_death_threshold_;
   std::unique_ptr<tcp::CongestionControl> cc_;
   Host host_;
 

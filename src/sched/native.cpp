@@ -1,7 +1,5 @@
 #include "sched/native.hpp"
 
-#include <limits>
-
 namespace progmp::sched {
 namespace {
 
@@ -15,21 +13,6 @@ using mptcp::SubflowInfo;
 /// with congestion window room.
 bool available(const SubflowInfo& s) {
   return s.established && !s.tsq_throttled && !s.lossy && s.cwnd_free();
-}
-
-/// Lowest-RTT subflow among those satisfying `pred`; -1 if none.
-template <typename Pred>
-int min_rtt_slot(SchedulerContext& ctx, Pred&& pred) {
-  int best = -1;
-  TimeNs best_rtt{std::numeric_limits<std::int64_t>::max()};
-  for (const SubflowInfo& s : ctx.subflows()) {
-    if (!pred(s)) continue;
-    if (s.rtt < best_rtt) {
-      best_rtt = s.rtt;
-      best = s.slot;
-    }
-  }
-  return best;
 }
 
 class NativeMinRtt final : public Scheduler {

@@ -202,22 +202,15 @@ class Link {
   /// past the interface; a blackout longer than queue + propagation delay is
   /// indistinguishable from one that kills them too.
   void set_down();
-  /// Restores the link and notifies the state observer (the connection uses
+  /// Restores the link and notifies the state observers (the connection uses
   /// this to revive a subflow that was declared dead during the outage).
   void set_up();
   [[nodiscard]] bool is_up() const { return up_; }
 
   /// Observer for up/down transitions (called after the state changed).
   using StateChangeFn = std::function<void(bool up)>;
-  /// Replaces all observers with `fn` — the single-owner (private path)
-  /// interface, unchanged semantics.
-  void set_state_change_fn(StateChangeFn fn) {
-    state_fns_.clear();
-    state_fns_.push_back(std::move(fn));
-  }
-  /// Adds an observer without displacing existing ones. Shared links are
-  /// watched by every connection with a subflow bound to them; observers
-  /// fire in registration order.
+  /// Adds an observer. Shared links are watched by every connection with a
+  /// subflow bound to them; observers fire in registration order.
   void add_state_observer(StateChangeFn fn) {
     state_fns_.push_back(std::move(fn));
   }

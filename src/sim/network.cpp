@@ -1,7 +1,5 @@
 #include "sim/network.hpp"
 
-#include <cstdio>
-
 namespace progmp::sim {
 
 NetPath& Network::add_path(const std::string& id, Link::Config forward,
@@ -69,43 +67,26 @@ void Network::set_tracer(Tracer* trace) {
   }
 }
 
-std::string Network::proc_dump() const {
-  std::string out;
-  char buf[256];
+void Network::refresh_metrics(MetricsRegistry& m) const {
   for (const Entry& e : paths_) {
     const auto dir = [&](const char* label, const Link& link) {
+      const std::string p = "net." + e.id + "." + label + ".";
       const Link::Stats& s = link.stats();
-      std::snprintf(buf, sizeof buf,
-                    "  %s: %s queued=%lld max_queued=%lld sent=%lld "
-                    "delivered=%lld drops(queue=%lld loss=%lld burst=%lld "
-                    "down=%lld)\n",
-                    label, link.is_up() ? "up" : "DOWN",
-                    static_cast<long long>(link.queued_bytes()),
-                    static_cast<long long>(s.max_queued_bytes),
-                    static_cast<long long>(s.packets_sent),
-                    static_cast<long long>(s.packets_delivered),
-                    static_cast<long long>(s.drops_queue),
-                    static_cast<long long>(s.drops_loss),
-                    static_cast<long long>(s.drops_burst),
-                    static_cast<long long>(s.drops_down));
-      out += buf;
-      // Middlebox interference is rare enough that an unconditional column
-      // would be noise; surface it only on paths that saw (or can see) it.
-      if (link.tamper_enabled() || s.tampered_stripped > 0 ||
-          s.tampered_corrupted > 0) {
-        std::snprintf(buf, sizeof buf,
-                      "    tamper: %s stripped=%lld corrupted=%lld\n",
-                      link.tamper_enabled() ? "armed" : "idle",
-                      static_cast<long long>(s.tampered_stripped),
-                      static_cast<long long>(s.tampered_corrupted));
-        out += buf;
-      }
+      *m.gauge(p + "state") = link.is_up() ? 1 : 0;
+      *m.gauge(p + "queued") = link.queued_bytes();
+      *m.gauge(p + "max_queued") = s.max_queued_bytes;
+      *m.counter(p + "sent") = s.packets_sent;
+      *m.counter(p + "delivered") = s.packets_delivered;
+      *m.counter(p + "drops_queue") = s.drops_queue;
+      *m.counter(p + "drops_loss") = s.drops_loss;
+      *m.counter(p + "drops_burst") = s.drops_burst;
+      *m.counter(p + "drops_down") = s.drops_down;
+      *m.counter(p + "tamper_stripped") = s.tampered_stripped;
+      *m.counter(p + "tamper_corrupted") = s.tampered_corrupted;
     };
-    out += "path " + e.id + ":\n";
     dir("fwd", e.path->forward);
     dir("rev", e.path->reverse);
   }
-  return out;
 }
 
 }  // namespace progmp::sim

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "core/metrics.hpp"
 #include "core/rng.hpp"
 #include "core/trace.hpp"
 #include "sim/link.hpp"
@@ -69,9 +70,11 @@ class Network {
   /// forward link, 1 for the reverse link.
   void set_tracer(Tracer* trace);
 
-  /// Per-path contention and drop accounting, one block per path:
-  /// up/down state, queue depth and high-water mark, per-cause drops.
-  [[nodiscard]] std::string proc_dump() const;
+  /// Writes per-link contention and drop accounting into `m` as
+  /// net.<path>.<fwd|rev>.* entries: state (1 up, 0 down), queued and
+  /// max_queued bytes, packets sent and delivered, drops by cause (queue,
+  /// loss, burst, down) and the tamper counts (stripped, corrupted).
+  void refresh_metrics(MetricsRegistry& m) const;
 
   [[nodiscard]] Simulator& simulator() { return sim_; }
 

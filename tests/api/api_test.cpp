@@ -236,7 +236,7 @@ TEST(ApiTest, MetricsAreCurrentWithoutADump) {
   // pool's grant total, and the registry reports the live figure.
   sim::Simulator host_sim;
   Host::Options opts;
-  opts.host_recv_mem_bytes = 1 << 20;
+  opts.mem_pool.pool_bytes = 1 << 20;
   Host host(host_sim, api, Rng(11), opts);
   mptcp::MptcpConnection::Config cfg = apps::lossy_config(0.0);
   cfg.receiver.recv_buf_bytes = 256 * 1024;
@@ -287,7 +287,7 @@ TEST(ApiTest, ProcDumpPrintsEachValueOnce) {
   lo.verify.absint = false;
   ASSERT_TRUE(api.load_scheduler(sched::specs::kMinRtt, "flapper", lo));
   Host::Options opts;
-  opts.host_recv_mem_bytes = 16 << 20;
+  opts.mem_pool.pool_bytes = 16 << 20;
   opts.quarantine.enabled = true;
   Host host(sim, api, Rng(12), opts);
   mptcp::MptcpConnection::Config cfg = apps::heterogeneous_config(4.0);
@@ -343,11 +343,10 @@ TEST(ApiTest, ProcDumpPrintsEachValueOnce) {
     EXPECT_EQ(names.count(name), 1u) << name;
   }
 
-  // The host dump: above the network section, every line is a section or
-  // header line, or a registry line of the host or a tenant, each name once.
+  // The host dump: every line is a section or header line, or a registry
+  // line of the host (network figures included) or a tenant, each name once.
   const std::string host_dump = host.proc_dump();
-  std::istringstream tenants(
-      host_dump.substr(0, host_dump.find("\n=== network ===\n")));
+  std::istringstream tenants(host_dump);
   std::multiset<std::string> printed;
   for (std::string line; std::getline(tenants, line);) {
     if (line.empty() || line.rfind("=== ", 0) == 0 ||

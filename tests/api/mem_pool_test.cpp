@@ -44,11 +44,13 @@ struct PoolHarness {
   std::vector<SignalEvent> signals;
 };
 
+/// The tests below assume RecvMemPool::kMinShareBytes = 64 KB and
+/// kFloorShareBytes = 32 KB.
 RecvMemPool::Config base_config(std::int64_t pool_bytes) {
+  static_assert(RecvMemPool::kMinShareBytes == 64 * K);
+  static_assert(RecvMemPool::kFloorShareBytes == 32 * K);
   RecvMemPool::Config cfg;
   cfg.pool_bytes = pool_bytes;
-  cfg.min_share_bytes = 64 * K;
-  cfg.floor_share_bytes = 32 * K;
   return cfg;
 }
 
@@ -175,7 +177,6 @@ TEST(RecvMemPoolTest, ShortfallRaisesRateLimitedPressureWithDeferredBroadcast) {
 TEST(RecvMemPoolTest, ShedDemotesVictimToFloorAndRestoreFollowsClear) {
   sim::Simulator sim;
   RecvMemPool::Config cfg = base_config(256 * K);
-  cfg.shed_enabled = true;
   cfg.shed_after = 2;
   PoolHarness h(sim, cfg);
   EXPECT_EQ(h.pool.admit(0, 1, 256 * K), 256 * K);
@@ -261,7 +262,6 @@ TEST(RecvMemPoolTest, ReleaseReturnsGrantToPool) {
 TEST(RecvMemPoolTest, GrantsNeverExceedPoolUnderChurn) {
   sim::Simulator sim;
   RecvMemPool::Config cfg = base_config(512 * K);
-  cfg.shed_enabled = true;
   cfg.shed_after = 2;
   PoolHarness h(sim, cfg);
   Rng rng(42);

@@ -242,8 +242,15 @@ TEST(MultiConnectionTest, HostProcDumpCoversConnectionsAndNetwork) {
   EXPECT_NE(dump.find("\nhost.connections 2\n"), std::string::npos);
   EXPECT_NE(dump.find("conn 0 (scheduler=minrtt)"), std::string::npos);
   EXPECT_NE(dump.find("conn 1 (scheduler=minrtt)"), std::string::npos);
-  EXPECT_NE(dump.find("=== network ==="), std::string::npos);
-  EXPECT_NE(dump.find(apps::kBottleneckPath), std::string::npos);
+  // The shared bottleneck's link figures are host registry entries.
+  const std::string net =
+      std::string("\nnet.") + apps::kBottleneckPath + ".fwd.";
+  EXPECT_NE(dump.find(net + "state 1\n"), std::string::npos) << dump;
+  EXPECT_NE(dump.find(net + "sent "), std::string::npos) << dump;
+  EXPECT_NE(dump.find(net + "max_queued "), std::string::npos) << dump;
+  EXPECT_GT(fleet->host->metrics().counter_value(
+                std::string("net.") + apps::kBottleneckPath + ".fwd.sent"),
+            0);
   // Metrics inside a tenant section carry the connection prefix.
   EXPECT_NE(dump.find("conn0."), std::string::npos);
   EXPECT_NE(dump.find("conn1."), std::string::npos);

@@ -165,7 +165,7 @@ TEST(ReceiverTest, AutotuneGrowsTowardTwiceDeliveryRateAndShrinksOnDrain) {
     rx.on_data(seg(0, s, s));
     ++s;
   }
-  EXPECT_EQ(rx.recv_buf_target(), cfg.autotune_min_bytes);
+  EXPECT_EQ(rx.recv_buf_target(), Receiver::kAutotuneMinBytes);
   EXPECT_EQ(rx.autotune_shrinks(), 2);
 }
 
@@ -214,7 +214,6 @@ TEST(ReceiverTest, LiabilityEnvelopeCoversPreShrinkAdvertisements) {
   sim::Simulator sim;
   Receiver::Config cfg;
   cfg.recv_buf_bytes = 256 * 1024;
-  cfg.enforce_recv_buf = true;
   Receiver rx(sim, cfg);
   // The first ACK advertises the full buffer: the liability right edge
   // moves to delivered + 256 KB.

@@ -1,7 +1,8 @@
 // SchedulerContext::rollback() as an oracle: once a faulted execution is
 // rolled back, the three meta queues hold exactly what they held before it
 // ran — the same packets in the same order with the same membership flags —
-// and none of its PUSH actions survives.
+// and none of its PUSH actions survives. Also: HAS_WINDOW_FOR tests the
+// same window edge the subflow's transmit gate does.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -22,6 +23,21 @@ std::vector<const Skb*> contents(const PacketQueue& queue) {
 /// in_q, in_qu, in_rq, dropped.
 std::array<bool, 4> flags(const SkbPtr& skb) {
   return {skb->in_q, skb->in_qu, skb->in_rq, skb->dropped};
+}
+
+TEST(SchedulerContextTest, HasWindowForTestsTheTransmitGatesEdge) {
+  // Both packets went out before the window shrank, so both lie below the
+  // transmitted right edge (2800). With DATA_ACK at 0 and rwnd 2000 the
+  // subflow would refuse to send `tail` (its last byte is past 2000), so
+  // HAS_WINDOW_FOR must refuse it too, until the edge covers it.
+  test::FakeEnv env;
+  env.add_subflow("wifi", 10'000);
+  const SkbPtr head = env.add_packet(QueueId::kQ);  // bytes [0, 1400)
+  const SkbPtr tail = env.add_packet(QueueId::kQ);  // bytes [1400, 2800)
+  EXPECT_TRUE(env.ctx(/*window_edge=*/2000).has_window_for(head));
+  EXPECT_FALSE(env.ctx(/*window_edge=*/2000).has_window_for(tail));
+  EXPECT_TRUE(env.ctx(/*window_edge=*/2800).has_window_for(tail));
+  EXPECT_FALSE(env.ctx().has_window_for(nullptr));
 }
 
 TEST(SchedulerContextTest, RollbackRestoresQueuesAndDiscardsActions) {

@@ -257,13 +257,13 @@ TEST(InterpreterTest, HasWindowForChecksReceiveWindow) {
   auto program = load_i(
       "IF (SUBFLOWS.GET(0).HAS_WINDOW_FOR(Q.TOP)) { SET(R1, 1); }");
   {
-    auto ctx = env.ctx(/*rwnd_free=*/10'000);
+    auto ctx = env.ctx(/*window_edge=*/10'000);
     program->schedule(ctx);
     EXPECT_EQ(env.registers[0], 1);
   }
   env.registers[0] = 0;
   {
-    auto ctx = env.ctx(/*rwnd_free=*/100);  // too small for 1400 bytes
+    auto ctx = env.ctx(/*window_edge=*/100);  // too small for 1400 bytes
     program->schedule(ctx);
     EXPECT_EQ(env.registers[0], 0);
   }

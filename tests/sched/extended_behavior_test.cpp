@@ -29,7 +29,7 @@ TEST(OpportunisticRetransmitTest, PushesFreshDataWhenWindowOpen) {
   env.add_subflow("fast", 10'000);
   env.add_packet(QueueId::kQ);
   auto scheduler = builtin("opportunistic_retransmit");
-  auto ctx = env.ctx(/*rwnd_free=*/1 << 20);
+  auto ctx = env.ctx(/*window_edge=*/1 << 20);
   scheduler->schedule(ctx);
   ASSERT_EQ(ctx.actions().size(), 1u);
   EXPECT_TRUE(env.q.empty());
@@ -43,7 +43,7 @@ TEST(OpportunisticRetransmitTest, MirrorsFlightHeadWhenWindowBlocked) {
   stuck->mark_sent_on(1, env.now);  // sent on the slow subflow only
   env.add_packet(QueueId::kQ, 1400);
   auto scheduler = builtin("opportunistic_retransmit");
-  auto ctx = env.ctx(/*rwnd_free=*/100);  // no room for fresh data
+  auto ctx = env.ctx(/*window_edge=*/100);  // no room for fresh data
   scheduler->schedule(ctx);
   ASSERT_EQ(ctx.actions().size(), 1u);
   EXPECT_EQ(ctx.actions()[0].skb, stuck);     // the blocking flight head

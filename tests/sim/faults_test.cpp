@@ -79,9 +79,9 @@ TEST(FaultsTest, PathBlackoutRestoresReverseBeforeForward) {
   Simulator sim;
   NetPath path(sim, basic_config(), basic_config(), Rng(3));
   std::vector<std::string> transitions;
-  path.forward.set_state_change_fn(
+  path.forward.add_state_observer(
       [&](bool up) { transitions.push_back(up ? "fwd-up" : "fwd-down"); });
-  path.reverse.set_state_change_fn(
+  path.reverse.add_state_observer(
       [&](bool up) { transitions.push_back(up ? "rev-up" : "rev-down"); });
 
   FaultInjector faults(sim);

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "core/metrics.hpp"
 #include "core/rng.hpp"
 #include "sim/faults.hpp"
 #include "sim/link.hpp"
@@ -120,8 +121,7 @@ TEST(NetworkTest, FaultInjectorBlackoutByPathId) {
 }
 
 // Every connection bound to a shared link registers its own observer; all of
-// them must see every transition, in registration order, and a legacy
-// set_state_change_fn must keep its replace-all semantics.
+// them must see every transition, in registration order.
 TEST(NetworkTest, MultipleStateObserversAllFire) {
   Simulator sim;
   Network net(sim, Rng(7));
@@ -139,12 +139,6 @@ TEST(NetworkTest, MultipleStateObserversAllFire) {
   EXPECT_EQ(seen[1], (std::pair<int, bool>{1, false}));
   EXPECT_EQ(seen[2], (std::pair<int, bool>{0, true}));
   EXPECT_EQ(seen[3], (std::pair<int, bool>{1, true}));
-
-  seen.clear();
-  path.forward.set_state_change_fn([&](bool up) { seen.push_back({9, up}); });
-  path.forward.set_down();
-  ASSERT_EQ(seen.size(), 1u);  // replace-all: old observers are gone
-  EXPECT_EQ(seen[0], (std::pair<int, bool>{9, false}));
 }
 
 TEST(NetworkTest, ProcDumpReportsContentionAndDrops) {
@@ -159,11 +153,19 @@ TEST(NetworkTest, ProcDumpReportsContentionAndDrops) {
   path.forward.send(1000, [] {}, [] {});  // dropped: link down
   sim.run_until(seconds(1));
 
-  const std::string dump = net.proc_dump();
-  EXPECT_NE(dump.find("ap"), std::string::npos);
-  EXPECT_NE(dump.find("DOWN"), std::string::npos);
-  EXPECT_NE(dump.find("max_queued"), std::string::npos);
-  EXPECT_NE(dump.find("down=1"), std::string::npos);
+  MetricsRegistry metrics;
+  net.refresh_metrics(metrics);
+  const std::string dump = metrics.proc_dump();
+  EXPECT_NE(dump.find("\nnet.ap.fwd.state 0\n"), std::string::npos) << dump;
+  EXPECT_NE(dump.find("\nnet.ap.rev.state 0\n"), std::string::npos) << dump;
+  EXPECT_NE(dump.find("\nnet.ap.fwd.sent 3\n"), std::string::npos) << dump;
+  EXPECT_NE(dump.find("\nnet.ap.fwd.drops_down 1\n"), std::string::npos)
+      << dump;
+  // The three 1000-byte packets were queued at once: the contention
+  // high-water mark holds all of them.
+  EXPECT_EQ(metrics.gauge_value("net.ap.fwd.max_queued"), 3000);
+  EXPECT_EQ(metrics.counter_value("net.ap.fwd.delivered"), 3);
+  EXPECT_EQ(metrics.counter_value("net.ap.rev.sent"), 0);
 }
 
 TEST(NetworkTest, TracerSeesSharedLinkEventsWithoutSubflowOwner) {

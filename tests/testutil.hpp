@@ -25,6 +25,8 @@ class FakeEnv {
                            mptcp::SkbProps props = {}) {
     auto skb = std::make_shared<mptcp::Skb>();
     skb->meta_seq = next_seq++;
+    skb->byte_offset = next_offset;
+    next_offset += static_cast<std::uint64_t>(size);
     skb->size = size;
     skb->props = props;
     skb->queued_at = now;
@@ -51,13 +53,14 @@ class FakeEnv {
     return subflows.back();
   }
 
-  /// Builds a context over the current state. Keep the FakeEnv alive while
-  /// using it.
-  mptcp::SchedulerContext ctx(std::int64_t rwnd_free = 1 << 30) {
+  /// Builds a context over the current state, with the receive window's
+  /// right edge (DATA_ACK + rwnd) at stream offset `window_edge`. Keep the
+  /// FakeEnv alive while using it.
+  mptcp::SchedulerContext ctx(std::uint64_t window_edge = 1 << 30) {
     return mptcp::SchedulerContext(now, trigger, subflows, &queues,
                                    registers.data(),
                                    static_cast<int>(registers.size()),
-                                   rwnd_free, &stats);
+                                   window_edge, &stats);
   }
 
   mptcp::QueueBundle queues;
@@ -71,6 +74,7 @@ class FakeEnv {
   mptcp::Trigger trigger;
   TimeNs now{milliseconds(100)};
   std::uint64_t next_seq = 0;
+  std::uint64_t next_offset = 0;  ///< add_packet's stream byte offsets
 };
 
 /// Compiles a spec or fails the test with the diagnostics.
