@@ -7,11 +7,10 @@
 #    cancellation and scheduler-call counts. Every rep does fixed work, so
 #    these counts do not depend on the host or the run length.
 # A third golden lives in the tier-1 suite, not here: the chaos replays.
-# ChaosSoakTest.TraceDigestIsPinned folds the event traces of the traced,
-# tampered single-connection soak (seeds 0-49) into one 64-bit FNV-1a
-# digest, pinned at 0xd7d87db98e2ca232. Those plans take the middlebox
-# fallback and send window updates under SWS avoidance, which neither md5
-# covers.
+# ChaosSoakTest.TraceDigestIsPinned folds the host traces of the traced,
+# tampered single-tenant soak (seeds 0-49) into one 64-bit FNV-1a digest,
+# pinned at 0xb3686ff15d5586d4. Those plans take the middlebox fallback
+# and send window updates under SWS avoidance, which neither md5 covers.
 # A mismatch means simulated behaviour changed. Re-pin a value only in a
 # change that says why the behaviour had to move.
 #

@@ -122,15 +122,13 @@ std::string ChaosPlan::str() const {
 ChaosPlan make_chaos_plan(std::uint64_t seed, const ChaosOptions& opts) {
   ChaosPlan plan;
   plan.seed = seed;
-  plan.horizon = opts.horizon;
   Rng rng(seed);
 
   // Every fault must be fully over before the horizon so delivery is
   // assertable after the grace period — leave a margin at the end.
   const TimeNs latest_end = plan.horizon - milliseconds(500);
-  const int n = static_cast<int>(
-      rng.next_range(opts.min_faults, std::max(opts.min_faults,
-                                               opts.max_faults)));
+  const int n =
+      static_cast<int>(rng.next_range(kChaosMinFaults, kChaosMaxFaults));
   for (int i = 0; i < n; ++i) {
     ChaosFault f;
     f.kind = static_cast<ChaosFault::Kind>(rng.next_range(0, 3));
@@ -163,30 +161,23 @@ ChaosPlan make_chaos_plan(std::uint64_t seed, const ChaosOptions& opts) {
     }
     plan.faults.push_back(f);
   }
-  if (opts.harden_receiver) {
-    // Receiver-shape draws come after the fault loop on purpose: the fault
-    // list for a given seed is unchanged from pre-hardening soaks.
-    static constexpr std::int64_t kBufs[] = {256 * 1024, 512 * 1024,
-                                             2 * 1024 * 1024,
-                                             8 * 1024 * 1024};
-    static constexpr std::int64_t kReads[] = {0, 400'000, 750'000, 1'500'000};
-    plan.recv_buf_bytes = kBufs[rng.next_range(0, 3)];
-    plan.app_read_bytes_per_sec = kReads[rng.next_range(0, 3)];
-    // Discarded draw: keeps the later pool, tamper and hostile draws per seed.
-    (void)rng.next_range(0, 2);
-    if (opts.recv_buf_override > 0) {
-      plan.recv_buf_bytes = opts.recv_buf_override;
-    }
-  }
+  // Receiver-shape draws come after the fault loop on purpose: the fault
+  // list for a given seed is unchanged from pre-hardening soaks.
+  static constexpr std::int64_t kBufs[] = {256 * 1024, 512 * 1024,
+                                           2 * 1024 * 1024, 8 * 1024 * 1024};
+  static constexpr std::int64_t kReads[] = {0, 400'000, 750'000, 1'500'000};
+  plan.recv_buf_bytes = kBufs[rng.next_range(0, 3)];
+  plan.app_read_bytes_per_sec = kReads[rng.next_range(0, 3)];
+  // Discarded draw: keeps the later pool, tamper and hostile draws per seed.
+  (void)rng.next_range(0, 2);
   if (opts.memory_pressure) {
     // The pool is drawn well under the fleet's aggregate demand — autotuned
     // growth can exhaust it, so pressure episodes and shed demotions really
-    // happen — but always covers mem_conns admission minima: this soak
-    // exercises degradation under overload, not admission refusal (that
-    // path has its own deterministic tests).
-    const auto n = static_cast<std::int64_t>(opts.mem_conns);
-    plan.pool_bytes = n * (64 + rng.next_range(0, 160)) * 1024;
-    for (int i = 0; i < opts.mem_conns; ++i) {
+    // happen — but always covers every tenant's admission minimum: this
+    // soak exercises degradation under overload, not admission refusal
+    // (that path has its own deterministic tests).
+    plan.pool_bytes = kChaosMemTenants * (64 + rng.next_range(0, 160)) * 1024;
+    for (int i = 0; i < kChaosMemTenants; ++i) {
       plan.priorities.push_back(static_cast<int>(rng.next_range(1, 4)));
     }
   }
@@ -270,59 +261,118 @@ void install_plan_faults(sim::Simulator& sim, sim::Network& net,
   });
 }
 
-/// The multi-tenant variant (ChaosOptions::memory_pressure): the plan's
-/// fault schedule against a mixed-priority fleet drawing from one
-/// undersized host receive-memory pool, autotuning and shed armed, under
-/// both the per-connection invariant packs and the pool invariants.
-ChaosVerdict run_chaos_plan_mem(const ChaosPlan& plan,
-                                const ChaosOptions& opts) {
+/// Offers the plan's hostile scheduler (ChaosPlan::hostile_kind) to `papi`
+/// and returns the name the hostile tenant opens with. Malformed sources
+/// and budget bombs must be refused at load, recorded in `v`; the tenant
+/// then joins on the default spec — a refused load must not cost it its
+/// connection.
+std::string load_hostile_spec(api::ProgmpApi& papi, int kind,
+                              ChaosVerdict& v) {
+  if (kind == 0) {
+    // Malformed source: the front end must refuse it.
+    v.hostile_load_rejected = !papi.load_scheduler(
+        "SCHEDULER hostile; GARBAGE(((", "hostile", &v.hostile_load_error);
+    return "minrtt";
+  }
+  // Budget bomb (kind 1): structurally fine, but its worst-case instruction
+  // count dwarfs the execution budget — the load-time WCET proof must refuse
+  // it before it ever runs. Fault flapper (kind 2): the same spec and
+  // starved budget with the proof switched off — the adversary who opts out
+  // of verification. It loads, faults on every trigger, and containment
+  // moves to the runtime layer: fault scoring must quarantine it.
+  const auto spec = sched::specs::find_spec("minrtt");
+  PROGMP_CHECK(spec.has_value());
+  rt::ProgmpProgram::LoadOptions lo;
+  lo.exec_budget = 64;
+  lo.verify.absint = kind != 2;
+  v.hostile_load_rejected = !papi.load_scheduler(spec->source, "hostile", lo,
+                                                 &v.hostile_load_error);
+  if (kind == 1) return "minrtt";
+  PROGMP_CHECK_MSG(!v.hostile_load_rejected, v.hostile_load_error.c_str());
+  return "hostile";
+}
+
+}  // namespace
+
+ChaosVerdict run_chaos_plan(const ChaosPlan& plan, const ChaosOptions& opts) {
   sim::Simulator sim;
   api::ProgmpApi papi;
   std::string err;
   PROGMP_CHECK_MSG(papi.load_builtin("minrtt", &err), err.c_str());
 
+  ChaosVerdict v;
+  const bool hostile = plan.hostile_kind >= 0;
+  const std::string hostile_sched =
+      hostile ? load_hostile_spec(papi, plan.hostile_kind, v) : "minrtt";
+
   api::Host::Options hopts;
+  hopts.trace_enabled = opts.capture_trace;
+  hopts.trace_capacity = 1 << 20;
   hopts.mem_pool.pool_bytes = plan.pool_bytes;
   hopts.mem_pool.shed_after = 2;
+  if (hostile) {
+    hopts.quarantine.enabled = true;
+    hopts.quarantine.fault_threshold = 4;
+    hopts.quarantine.window = milliseconds(500);
+    hopts.quarantine.cooldown_initial = milliseconds(500);
+    hopts.quarantine.cooldown_max = seconds(8);
+    hopts.quarantine.probation = milliseconds(250);
+  }
+  // The host's RNG — and with it the network's link draws — is derived
+  // from the plan seed, so loss draws are part of the reproducible run.
   api::Host host(sim, papi, Rng(plan.seed ^ 0xc4a05f00dULL), hopts);
+  // Single-user capacities (fleet defaults are sized for a whole cell).
   install_fleet_network(host.network(), /*wifi_ap_mbps=*/16,
                         /*lte_cell_mbps=*/48);
 
   InvariantChecker checker;
-  checker.set_stride(opts.invariant_stride);
+  checker.set_stride(kChaosInvariantStride);
 
+  const int tenants = !plan.priorities.empty()
+                          ? static_cast<int>(plan.priorities.size())
+                          : (hostile ? kChaosHostileTenants : 1);
   std::vector<mptcp::MptcpConnection*> conns;
-  for (int pri : plan.priorities) {
+  for (int i = 0; i < tenants; ++i) {
     mptcp::MptcpConnection::Config cfg =
-        fleet_priority_config(pri, opts.rto_death_threshold);
-    cfg.probe_revival = opts.probe_revival;
-    cfg.keepalive_idle = opts.keepalive_idle;
-    cfg.stall_timeout = opts.stall_timeout;
-    cfg.stall_rescue = opts.stall_rescue;
+        fleet_handover_config(kChaosRtoDeathThreshold);
+    if (!plan.priorities.empty()) {
+      cfg.recv_priority = plan.priorities[static_cast<std::size_t>(i)];
+    }
+    cfg.probe_revival = true;
+    cfg.keepalive_idle = kChaosKeepaliveIdle;
+    cfg.stall_timeout = kChaosStallTimeout;
+    cfg.stall_rescue = true;
     cfg.receiver.recv_buf_bytes = plan.recv_buf_bytes;
     cfg.receiver.app_read_bytes_per_sec = plan.app_read_bytes_per_sec;
     cfg.middlebox_fallback = opts.middlebox_tamper;
-    mptcp::MptcpConnection* conn = host.open_connection(cfg, "minrtt", &err);
-    // The plan draws the pool large enough for every admission minimum —
-    // this soak is about degradation under pressure, not refusal.
+    const std::string sched_name = hostile && i == 0 ? hostile_sched : "minrtt";
+    mptcp::MptcpConnection* conn = host.open_connection(cfg, sched_name, &err);
+    // A drawn pool always covers every tenant's admission minimum — this
+    // soak is about degradation under pressure, not refusal.
     PROGMP_CHECK_MSG(conn != nullptr, err.c_str());
-    // Same engine as the single-connection soak: the native MinRTT carries
-    // the RQ fresh-path *fallback* (a packet every path already carried is
-    // still retransmittable), which the frozen builtin spec lacks — without
-    // it a double-lost reinjection wedges the meta gap forever and the
-    // delivery assertion would test the spec, not the memory machinery.
-    conn->set_scheduler(sched::make_native_minrtt());
-    conns.push_back(conn);
+    // Every tenant without a hostile program runs the native MinRTT: it
+    // carries the RQ fresh-path *fallback* (a packet every path already
+    // carried is still retransmittable), which the frozen builtin spec
+    // lacks — without it a double-lost reinjection wedges the meta gap
+    // forever and the delivery assertion would test the spec, not the
+    // machinery under fault. The hostile tenant keeps its loaded program so
+    // its faults feed the quarantine scoring.
+    if (sched_name == "minrtt") {
+      conn->set_scheduler(sched::make_native_minrtt());
+    }
+    conn->set_test_drop_failed_subflow_orphans(
+        opts.test_drop_failed_subflow_orphans);
     mptcp::install_connection_invariants(checker, *conn);
+    conns.push_back(conn);
   }
-  api::install_mem_invariants(checker, host);
+  if (host.mem_pool() != nullptr) api::install_mem_invariants(checker, host);
   sim.set_post_event_hook([&checker, &sim] { checker.run(sim.now()); });
 
   sim::FaultInjector injector(sim);
   install_plan_faults(sim, host.network(), injector, plan);
 
   CbrSource::Options wl;
-  wl.schedule = {{TimeNs{0}, opts.cbr_bytes_per_sec}};
+  wl.schedule = {{TimeNs{0}, kChaosCbrBytesPerSec}};
   wl.duration = plan.horizon - seconds(1);
   std::vector<std::unique_ptr<CbrSource>> sources;
   for (mptcp::MptcpConnection* conn : conns) {
@@ -330,10 +380,9 @@ ChaosVerdict run_chaos_plan_mem(const ChaosPlan& plan,
     sources.back()->start();
   }
 
-  sim.run_until(plan.horizon + opts.grace);
+  sim.run_until(plan.horizon + kChaosGrace);
   checker.force_run(sim.now());
 
-  ChaosVerdict v;
   v.invariants_ok = checker.ok();
   v.violations = checker.total_violations();
   if (!checker.violations().empty()) {
@@ -362,223 +411,16 @@ ChaosVerdict run_chaos_plan_mem(const ChaosPlan& plan,
     v.csum_fails += conn->receiver().csum_fail_segments();
   }
   v.checker_runs = checker.runs();
-  const api::RecvMemPool::Stats& ps = host.mem_pool()->stats();
-  v.mem_pressure_episodes = ps.pressure_episodes;
-  v.mem_sheds = ps.sheds;
-  v.mem_restores = ps.restores;
-  return v;
-}
-
-/// The hostile-tenant variant (ChaosOptions::hostile_spec): the plan's fault
-/// schedule against a fleet where one tenant brings a hostile scheduler.
-/// Malformed sources and budget bombs must be refused at load (the tenant
-/// then joins on the default spec — a refused load must not cost it its
-/// connection); the fault flapper must end up quarantined while everybody,
-/// the flapper's own connection included (the default scheduler stands in),
-/// keeps full delivery.
-ChaosVerdict run_chaos_plan_hostile(const ChaosPlan& plan,
-                                    const ChaosOptions& opts) {
-  sim::Simulator sim;
-  api::ProgmpApi papi;
-  std::string err;
-  PROGMP_CHECK_MSG(papi.load_builtin("minrtt", &err), err.c_str());
-
-  ChaosVerdict v;
-  std::string hostile_sched = "minrtt";
-  switch (plan.hostile_kind) {
-    case 0: {
-      // Malformed source: the front end must refuse it.
-      v.hostile_load_rejected = !papi.load_scheduler(
-          "SCHEDULER hostile; GARBAGE(((", "hostile", &v.hostile_load_error);
-      break;
-    }
-    case 1: {
-      // Budget bomb: structurally fine, but its worst-case instruction
-      // count dwarfs the execution budget — the load-time WCET proof must
-      // refuse it before it ever runs.
-      const auto spec = sched::specs::find_spec("minrtt");
-      PROGMP_CHECK(spec.has_value());
-      rt::ProgmpProgram::LoadOptions lo;
-      lo.exec_budget = 64;
-      v.hostile_load_rejected = !papi.load_scheduler(
-          spec->source, "hostile", lo, &v.hostile_load_error);
-      break;
-    }
-    case 2: {
-      // Fault flapper: same spec, same starved budget, but with the WCET
-      // proof switched off — the adversary who opts out of verification.
-      // It loads, faults on every trigger, and containment moves to the
-      // runtime layer: fault scoring must quarantine it.
-      const auto spec = sched::specs::find_spec("minrtt");
-      PROGMP_CHECK(spec.has_value());
-      rt::ProgmpProgram::LoadOptions lo;
-      lo.exec_budget = 64;
-      lo.verify.absint = false;
-      PROGMP_CHECK_MSG(
-          papi.load_scheduler(spec->source, "hostile", lo, &err), err.c_str());
-      hostile_sched = "hostile";
-      break;
-    }
-    default:
-      break;
+  if (const api::RecvMemPool* pool = host.mem_pool()) {
+    v.mem_pressure_episodes = pool->stats().pressure_episodes;
+    v.mem_sheds = pool->stats().sheds;
+    v.mem_restores = pool->stats().restores;
   }
-
-  api::Host::Options hopts;
-  hopts.quarantine.enabled = true;
-  hopts.quarantine.fault_threshold = 4;
-  hopts.quarantine.window = milliseconds(500);
-  hopts.quarantine.cooldown_initial = milliseconds(500);
-  hopts.quarantine.cooldown_max = seconds(8);
-  hopts.quarantine.probation = milliseconds(250);
-  api::Host host(sim, papi, Rng(plan.seed ^ 0xc4a05f00dULL), hopts);
-  install_fleet_network(host.network(), /*wifi_ap_mbps=*/16,
-                        /*lte_cell_mbps=*/48);
-
-  InvariantChecker checker;
-  checker.set_stride(opts.invariant_stride);
-
-  std::vector<mptcp::MptcpConnection*> conns;
-  for (int i = 0; i < std::max(2, opts.hostile_conns); ++i) {
-    mptcp::MptcpConnection::Config cfg =
-        fleet_handover_config(opts.rto_death_threshold);
-    cfg.probe_revival = opts.probe_revival;
-    cfg.keepalive_idle = opts.keepalive_idle;
-    cfg.stall_timeout = opts.stall_timeout;
-    cfg.stall_rescue = opts.stall_rescue;
-    cfg.receiver.recv_buf_bytes = plan.recv_buf_bytes;
-    cfg.receiver.app_read_bytes_per_sec = plan.app_read_bytes_per_sec;
-    const bool hostile_tenant = i == 0;
-    mptcp::MptcpConnection* conn = host.open_connection(
-        cfg, hostile_tenant ? hostile_sched : "minrtt", &err);
-    PROGMP_CHECK_MSG(conn != nullptr, err.c_str());
-    // Co-tenants run the native MinRTT for the same reason as the memory
-    // soak (RQ fresh-path fallback); the hostile tenant keeps its loaded
-    // program so its faults feed the quarantine scoring.
-    if (!hostile_tenant || hostile_sched == "minrtt") {
-      conn->set_scheduler(sched::make_native_minrtt());
-    }
-    conns.push_back(conn);
-    mptcp::install_connection_invariants(checker, *conn);
+  if (const api::SpecQuarantine* q = host.quarantine()) {
+    v.quarantines = q->total_quarantines();
+    v.reinstates = q->total_reinstates();
   }
-  sim.set_post_event_hook([&checker, &sim] { checker.run(sim.now()); });
-
-  sim::FaultInjector injector(sim);
-  install_plan_faults(sim, host.network(), injector, plan);
-
-  CbrSource::Options wl;
-  wl.schedule = {{TimeNs{0}, opts.cbr_bytes_per_sec}};
-  wl.duration = plan.horizon - seconds(1);
-  std::vector<std::unique_ptr<CbrSource>> sources;
-  for (mptcp::MptcpConnection* conn : conns) {
-    sources.push_back(std::make_unique<CbrSource>(sim, *conn, wl));
-    sources.back()->start();
-  }
-
-  sim.run_until(plan.horizon + opts.grace);
-  checker.force_run(sim.now());
-
-  v.invariants_ok = checker.ok();
-  v.violations = checker.total_violations();
-  if (!checker.violations().empty()) {
-    const InvariantChecker::Violation& first = checker.violations().front();
-    v.first_violation = first.check + "@" + first.at.str() + ": " +
-                        first.detail;
-  }
-  v.delivered_all = true;
-  for (mptcp::MptcpConnection* conn : conns) {
-    v.written += conn->written_bytes();
-    v.delivered += conn->delivered_bytes();
-    if (conn->written_bytes() == 0 ||
-        conn->delivered_bytes() != conn->written_bytes()) {
-      v.delivered_all = false;
-    }
-    for (int s = 0; s < conn->subflow_count(); ++s) {
-      v.deaths += conn->subflow(s).stats().deaths;
-      v.revivals += conn->subflow(s).stats().revivals;
-    }
-    v.stalls += conn->stalls();
-    v.zero_window_probes += conn->zero_window_probes();
-    v.recv_buf_drops += conn->receiver().recv_buf_drops();
-  }
-  v.checker_runs = checker.runs();
-  v.quarantines = host.quarantine()->total_quarantines();
-  v.reinstates = host.quarantine()->total_reinstates();
-  return v;
-}
-
-}  // namespace
-
-ChaosVerdict run_chaos_plan(const ChaosPlan& plan, const ChaosOptions& opts) {
-  if (opts.hostile_spec) return run_chaos_plan_hostile(plan, opts);
-  if (opts.memory_pressure) return run_chaos_plan_mem(plan, opts);
-  sim::Simulator sim;
-  // The network RNG is derived from the plan seed so link loss draws are
-  // part of the reproducible run.
-  sim::Network net(sim, Rng(plan.seed ^ 0xc4a05f00dULL));
-  // Single-user capacities (fleet defaults are sized for a whole cell).
-  install_fleet_network(net, /*wifi_ap_mbps=*/16, /*lte_cell_mbps=*/48);
-
-  mptcp::MptcpConnection::Config cfg =
-      fleet_handover_config(opts.rto_death_threshold);
-  cfg.network = &net;
-  cfg.probe_revival = opts.probe_revival;
-  cfg.keepalive_idle = opts.keepalive_idle;
-  cfg.stall_timeout = opts.stall_timeout;
-  cfg.stall_rescue = opts.stall_rescue;
-  if (opts.harden_receiver) {
-    cfg.receiver.recv_buf_bytes = plan.recv_buf_bytes;
-    cfg.receiver.app_read_bytes_per_sec = plan.app_read_bytes_per_sec;
-  }
-  cfg.middlebox_fallback = opts.middlebox_tamper;
-  if (opts.capture_trace) {
-    cfg.trace_enabled = true;
-    cfg.trace_capacity = 1 << 20;
-  }
-  mptcp::MptcpConnection conn(sim, cfg, Rng(plan.seed));
-  conn.set_test_drop_failed_subflow_orphans(
-      opts.test_drop_failed_subflow_orphans);
-  conn.set_scheduler(sched::make_native_minrtt());
-
-  InvariantChecker checker;
-  checker.set_stride(opts.invariant_stride);
-  mptcp::install_connection_invariants(checker, conn);
-  sim.set_post_event_hook([&checker, &sim] { checker.run(sim.now()); });
-
-  sim::FaultInjector injector(sim);
-  install_plan_faults(sim, net, injector, plan);
-
-  CbrSource::Options wl;
-  wl.schedule = {{TimeNs{0}, opts.cbr_bytes_per_sec}};
-  wl.duration = plan.horizon - seconds(1);
-  CbrSource source(sim, conn, wl);
-  source.start();
-
-  sim.run_until(plan.horizon + opts.grace);
-  checker.force_run(sim.now());
-
-  ChaosVerdict v;
-  v.invariants_ok = checker.ok();
-  v.violations = checker.total_violations();
-  if (!checker.violations().empty()) {
-    const InvariantChecker::Violation& first = checker.violations().front();
-    v.first_violation = first.check + "@" + first.at.str() + ": " +
-                        first.detail;
-  }
-  v.written = conn.written_bytes();
-  v.delivered = conn.delivered_bytes();
-  v.delivered_all = v.written > 0 && v.delivered == v.written;
-  for (int s = 0; s < conn.subflow_count(); ++s) {
-    v.deaths += conn.subflow(s).stats().deaths;
-    v.revivals += conn.subflow(s).stats().revivals;
-  }
-  v.stalls = conn.stalls();
-  v.zero_window_probes = conn.zero_window_probes();
-  v.recv_buf_drops = conn.receiver().recv_buf_drops();
-  v.fallbacks = conn.fallbacks();
-  v.mapping_lost = conn.receiver().mapping_lost_segments();
-  v.csum_fails = conn.receiver().csum_fail_segments();
-  v.checker_runs = checker.runs();
-  if (opts.capture_trace) v.trace_csv = conn.tracer().to_csv();
+  if (opts.capture_trace) v.trace_csv = host.tracer().to_csv();
   return v;
 }
 

@@ -1,22 +1,29 @@
-// Invariant-checked chaos soak: seeded random fault plans against a live
-// connection on a shared two-path network.
+// Invariant-checked chaos soak: seeded random fault plans against live
+// connections on a shared two-path network.
 //
 // A ChaosPlan is a deterministic function of its seed — blackouts, one-way
 // ACK blackouts, flapping episodes and Gilbert–Elliott loss bursts over the
 // shared "wifi_ap"/"lte_cell" paths, all scheduled to end (links restored,
-// Bernoulli loss re-enabled) strictly before the plan horizon. Running a
-// plan arms the full robustness stack — RTO death detection, probe-proven
-// revival, idle keepalives, the liveness watchdog with stall rescue — and
-// attaches the connection invariant pack (mptcp/conn_invariants.hpp) to the
-// simulator's post-event hook, so every event boundary of the faulted run is
-// a checkpoint.
+// Bernoulli loss re-enabled) strictly before the plan horizon. The three
+// mode flags of ChaosOptions add draw classes to the plan (a memory pool
+// and tenant priorities, middlebox-tamper episodes, a hostile spec) and
+// compose freely.
+//
+// One runner executes every plan: an api::Host on the fleet network, one
+// tenant per drawn pool priority (otherwise three around the hostile
+// tenant, otherwise one), the full robustness stack — RTO death detection,
+// probe-proven revival, idle keepalives, the liveness watchdog with stall
+// rescue — and the connection invariant pack (mptcp/conn_invariants.hpp)
+// of every tenant, plus the pool invariants when the plan has a pool, on
+// the simulator's post-event hook, so every event boundary of the faulted
+// run is a checkpoint.
 //
 // The verdict is binary on two axes: no invariant ever broke, and every
-// written byte arrived once the faults were over and the grace period ran
-// out. A failing plan can be handed to minimize_chaos_plan, which greedily
-// deletes faults while the caller's predicate keeps failing — the minimized
-// plan (usually one or two faults) is what a human debugs and what CI
-// uploads as an artifact.
+// byte any tenant wrote arrived once the faults were over and the grace
+// period ran out. A failing plan can be handed to minimize_chaos_plan,
+// which greedily deletes faults while the caller's predicate keeps failing
+// — the minimized plan (usually one or two faults) is what a human debugs
+// and what CI uploads as an artifact.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +35,34 @@
 #include "sim/link.hpp"
 
 namespace progmp::apps {
+
+// ---- Fixed soak parameters ------------------------------------------------
+/// Faults per plan, drawn uniformly from [kChaosMinFaults, kChaosMaxFaults].
+inline constexpr int kChaosMinFaults = 2;
+inline constexpr int kChaosMaxFaults = 6;
+/// Every fault of a plan is over before this.
+inline constexpr TimeNs kChaosHorizon = seconds(20);
+/// Extra simulated time after the horizon for retransmissions, probe
+/// revivals and the final delivery to settle.
+inline constexpr TimeNs kChaosGrace = seconds(40);
+/// Each tenant writes at this constant rate from t=0 until one second
+/// before the horizon, so every fault window hits live traffic (a bulk
+/// transfer would finish in ~150 ms and leave most faults punching air).
+/// The rate is well under either path's capacity: the stream must be
+/// recoverable, and a 250-seed soak must stay affordable under ASan.
+inline constexpr std::int64_t kChaosCbrBytesPerSec = 250'000;
+/// The robustness stack armed on every tenant (probe-proven revival and
+/// stall rescue are always on).
+inline constexpr int kChaosRtoDeathThreshold = 3;
+inline constexpr TimeNs kChaosKeepaliveIdle = milliseconds(500);
+inline constexpr TimeNs kChaosStallTimeout = seconds(2);
+/// Tenants of a memory-pressure plan (one drawn priority each) and of a
+/// hostile plan without a pool (the hostile tenant included).
+inline constexpr int kChaosMemTenants = 4;
+inline constexpr int kChaosHostileTenants = 3;
+/// Stride for the heavy (full-scan) invariants; the cheap class still runs
+/// at every event boundary.
+inline constexpr std::uint64_t kChaosInvariantStride = 16;
 
 struct ChaosFault {
   enum class Kind {
@@ -56,12 +91,13 @@ struct ChaosFault {
 
 struct ChaosPlan {
   std::uint64_t seed = 0;
-  TimeNs horizon = seconds(20);  ///< every fault is over before this
+  TimeNs horizon = kChaosHorizon;  ///< every fault is over before this
   std::vector<ChaosFault> faults;
 
-  // ---- Receiver shape (ChaosOptions::harden_receiver) ---------------------
+  // ---- Receiver shape -----------------------------------------------------
   // Drawn *after* the fault list so per-seed fault draws stay unchanged
-  // across soak generations.
+  // across soak generations. The app-read rate choices stay above the CBR
+  // write rate so the stream remains drainable.
   std::int64_t recv_buf_bytes = 8 * 1024 * 1024;
   std::int64_t app_read_bytes_per_sec = 0;  ///< 0 = instant reader
 
@@ -84,80 +120,36 @@ struct ChaosPlan {
 };
 
 struct ChaosOptions {
-  // ---- Plan generation ----------------------------------------------------
-  int min_faults = 2;
-  int max_faults = 6;
-  TimeNs horizon = seconds(20);
-
-  // ---- Workload -----------------------------------------------------------
-  /// Constant-rate app writes from t=0 until one second before the horizon,
-  /// so every fault window in the plan hits live traffic (a bulk transfer
-  /// would finish in ~150 ms and leave most faults punching air). The rate is
-  /// well under either path's capacity: the stream must be recoverable, and
-  /// a 200-seed soak must stay affordable under ASan.
-  std::int64_t cbr_bytes_per_sec = 250'000;
-
-  // ---- Robustness stack armed during the run ------------------------------
-  int rto_death_threshold = 3;
-  bool probe_revival = true;
-  TimeNs keepalive_idle = milliseconds(500);
-  TimeNs stall_timeout = seconds(2);
-  bool stall_rescue = true;
-
-  // ---- Receive-window hardening -------------------------------------------
-  /// Randomize the receiver shape per seed — recv_buf size and app-read
-  /// rate. The app-read rate choices stay above the CBR write rate so the
-  /// stream remains drainable and final delivery stays assertable.
-  bool harden_receiver = true;
-  /// When positive, overrides the plan's drawn recv_buf_bytes — the CI
-  /// small-buffer (256 KB) chaos variant.
-  std::int64_t recv_buf_override = 0;
-
-  // ---- Memory-pressure fleet ----------------------------------------------
-  /// Runs the plan against a mixed-priority fleet of `mem_conns` connections
-  /// on one api::Host whose receive-memory pool is sized well under the
-  /// aggregate demand (drawn per seed), with receive-buffer autotuning and
-  /// the shed policy armed — the multi-tenant overload soak. Adds the
-  /// host-level pool invariants (granted sum <= pool, rwnd <= grant) to the
-  /// checker. Off = the single-connection soak, plans unchanged per seed.
+  // ---- Plan modes ---------------------------------------------------------
+  // Each adds a draw class after all older ones, so the other classes of a
+  // seed's plan are the same with the mode on or off.
+  /// A mixed-priority fleet of kChaosMemTenants tenants drawing from one
+  /// host receive-memory pool sized well under the aggregate demand (drawn
+  /// per seed), with receive-buffer autotuning and the shed policy armed —
+  /// the multi-tenant overload soak. Adds the host pool invariants
+  /// (granted sum <= pool, rwnd <= grant) to the checker.
   bool memory_pressure = false;
-  int mem_conns = 4;
-
-  // ---- Middlebox interference ---------------------------------------------
-  /// Adds one or two middlebox-tamper episodes (DSS-option stripping,
-  /// payload-rewriting proxies, ACK-option stripping) to the plan and arms
-  /// RFC 8684-style fallback detection on the connection(s). Drawn after
-  /// every pre-existing plan draw so fault lists, receiver shapes and pool
-  /// sizes per seed are unchanged from earlier soak generations.
+  /// One or two middlebox-tamper episodes (DSS-option stripping,
+  /// payload-rewriting proxies, ACK-option stripping), with RFC 8684-style
+  /// fallback detection armed on every tenant.
   bool middlebox_tamper = false;
-
-  // ---- Hostile-spec tenant ------------------------------------------------
-  /// Runs the plan against a small fleet on one api::Host where one tenant
-  /// tries to bring a hostile scheduler drawn per seed (ChaosPlan::
-  /// hostile_kind): malformed source and budget bombs must be refused at
-  /// load; the fault flapper loads (WCET proof off, tiny budget), faults on
-  /// every trigger and must end up quarantined with doubling cooldowns while
-  /// the co-tenants on the same paths keep full delivery. Drawn after every
-  /// pre-existing draw class so fault lists per seed are unchanged.
+  /// Tenant 0 brings a hostile scheduler drawn per seed (ChaosPlan::
+  /// hostile_kind), with the host's spec quarantine armed: malformed source
+  /// and budget bombs must be refused at load; the fault flapper loads (WCET
+  /// proof off, tiny budget), faults on every trigger and must end up
+  /// quarantined with doubling cooldowns while every tenant keeps full
+  /// delivery.
   bool hostile_spec = false;
-  int hostile_conns = 3;  ///< fleet size including the hostile tenant
 
-  // ---- Checking -----------------------------------------------------------
-  /// Stride for the heavy (full-scan) invariants; the cheap class still runs
-  /// at every event boundary.
-  std::uint64_t invariant_stride = 16;
-  /// Extra simulated time after the horizon for retransmissions, probe
-  /// revivals and the final delivery to settle.
-  TimeNs grace = seconds(40);
-
+  // ---- Debugging ----------------------------------------------------------
+  /// Record the host's aggregated trace (every tenant and the shared links)
+  /// and export it in the verdict (CSV) — for debugging a minimized plan
+  /// and for the replay digest, not for the soak itself.
+  bool capture_trace = false;
   /// Self-test hook: run with the deliberately-broken fail_subflow() that
   /// drops stranded packets instead of reinjecting them. The soak must
   /// catch this via no_stranded_packets (and the delivery shortfall).
   bool test_drop_failed_subflow_orphans = false;
-
-  /// Record the connection trace and export it in the verdict (CSV) — for
-  /// debugging a minimized plan, not for the soak itself.
-  bool capture_trace = false;
 };
 
 struct ChaosVerdict {
@@ -190,7 +182,7 @@ struct ChaosVerdict {
   std::int64_t reinstates = 0;    ///< probation reinstatements
   bool hostile_load_rejected = false;  ///< kinds 0/1: load refused as it must
   std::string hostile_load_error;      ///< the load diagnostic (artifact)
-  std::string trace_csv;             ///< only with ChaosOptions::capture_trace
+  std::string trace_csv;  ///< only with ChaosOptions::capture_trace
 
   [[nodiscard]] bool ok() const { return invariants_ok && delivered_all; }
 };
@@ -199,7 +191,8 @@ struct ChaosVerdict {
 [[nodiscard]] ChaosPlan make_chaos_plan(std::uint64_t seed,
                                         const ChaosOptions& opts = {});
 
-/// Runs one plan to horizon + grace under the invariant checker.
+/// Runs one plan to horizon + grace under the invariant checker and folds
+/// one verdict over all tenants.
 [[nodiscard]] ChaosVerdict run_chaos_plan(const ChaosPlan& plan,
                                           const ChaosOptions& opts = {});
 

@@ -152,14 +152,6 @@ mptcp::MptcpConnection::Config fleet_handover_config(int rto_death_threshold,
   return cfg;
 }
 
-mptcp::MptcpConnection::Config fleet_priority_config(int recv_priority,
-                                                     int rto_death_threshold) {
-  mptcp::MptcpConnection::Config cfg =
-      fleet_handover_config(rto_death_threshold);
-  cfg.recv_priority = recv_priority;
-  return cfg;
-}
-
 void install_bottleneck_network(sim::Network& net, std::int64_t rate_mbps,
                                 TimeNs one_way, std::int64_t queue_kb) {
   PathSpec p;

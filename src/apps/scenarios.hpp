@@ -103,12 +103,6 @@ mptcp::MptcpConnection::Config fleet_user_config(bool lte_backup_flag = true);
 mptcp::MptcpConnection::Config fleet_handover_config(
     int rto_death_threshold = 3, TimeNs revival_min_uptime = TimeNs{0});
 
-/// fleet_handover_config with a receive-memory pool priority — the
-/// mixed-priority fleet member (premium tenants admit larger shares and
-/// shed last under host memory pressure; see api::RecvMemPool).
-mptcp::MptcpConnection::Config fleet_priority_config(
-    int recv_priority, int rto_death_threshold = 3);
-
 /// Path id registered by install_bottleneck_network.
 inline constexpr const char* kBottleneckPath = "bottleneck";
 

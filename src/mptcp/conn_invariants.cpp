@@ -127,6 +127,18 @@ void install_connection_invariants(InvariantChecker& checker,
       });
 
   checker.add_check(
+      "q_meta_order", [&conn]() -> std::optional<std::string> {
+        const PacketQueue& q = conn.sending_queue();
+        for (std::size_t i = 1; i < q.size(); ++i) {
+          if (q.at(i)->meta_seq < q.at(i - 1)->meta_seq) {
+            return "Q out of meta order: " + skb_id(*q.at(i - 1)) +
+                   " before " + skb_id(*q.at(i));
+          }
+        }
+        return std::nullopt;
+      });
+
+  checker.add_check(
       "sent_mask_sanity", [&conn]() -> std::optional<std::string> {
         const std::uint32_t valid =
             (1u << static_cast<unsigned>(conn.subflow_count())) - 1u;

@@ -31,6 +31,9 @@
 //  * queue_membership — Q/QU/RQ entries carry the matching membership flag,
 //    hold no duplicates and no ACKed/DROPped packets, and qu_bytes matches
 //    the actual QU byte sum;
+//  * q_meta_order — Q is sorted by meta_seq, so the lowest unsent packet is
+//    the first the window admits (a requeue that lands it behind later
+//    packets deadlocks a shrunken window);
 //  * sent_mask_sanity — no skb claims transmission on a slot that does not
 //    exist;
 //  * receiver_accounting — Receiver::audit(): the OOO byte counters and the

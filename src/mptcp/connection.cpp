@@ -151,16 +151,12 @@ int MptcpConnection::create_subflow(const SubflowSpec& spec) {
   host.on_tsq_freed = [this](int s) { trigger({TriggerKind::kTsqFreed, s}); };
   host.on_window_blocked = [this](int, std::vector<SkbPtr> blocked) {
     // The receive window regressed under packets already scheduled onto the
-    // subflow: return them to the front of the meta sending queue (order
-    // preserved) so they are rescheduled when the window reopens instead of
-    // squatting on the subflow's cwnd headroom. Packets that meanwhile
-    // gained another owner (acked, dropped, re-entered Q or RQ, e.g. a
-    // redundant copy) are simply released.
-    for (auto it = blocked.rbegin(); it != blocked.rend(); ++it) {
-      const SkbPtr& skb = *it;
-      if (skb->acked || skb->dropped || skb->in_q || skb->in_rq) continue;
-      queues_.q.push_front(skb);
-    }
+    // subflow: return them to the meta sending queue so they are
+    // rescheduled when the window reopens instead of squatting on the
+    // subflow's cwnd headroom. Packets that meanwhile gained another owner
+    // (acked, dropped, re-entered Q or RQ, e.g. a redundant copy) are
+    // simply released.
+    for (const SkbPtr& skb : blocked) requeue(skb);
   };
   host.on_ack_tampered = [this](int s) {
     ++ack_tampered_acks_;
@@ -709,16 +705,13 @@ void MptcpConnection::handle_loss_suspected(int slot, const SkbPtr& skb) {
 void MptcpConnection::on_mapping_failure(int slot, std::uint64_t meta_seq,
                                          MappingFailure cause) {
   // The segment never reached the meta layer: the receiver refused it, so no
-  // meta ACK will ever cover it from this transmission. Requeue it at the
-  // front of the meta sending queue — NOT the reinjection queue: specs
-  // without a reinjection clause (opportunistic_redundant only ever pops Q)
-  // must still carry the packet after the fallback below pins the survivor.
-  if (meta_seq >= meta_una_ && meta_seq < next_meta_seq_) {
-    const SkbPtr& skb = unacked_[meta_seq - meta_una_];
-    if (!skb->acked && !skb->dropped && !skb->in_rq && !skb->in_q) {
-      queues_.q.push_front(skb);
-      trigger({TriggerKind::kDataPushed, slot});
-    }
+  // meta ACK will ever cover it from this transmission. Requeue it in the
+  // meta sending queue — NOT the reinjection queue: specs without a
+  // reinjection clause (opportunistic_redundant only ever pops Q) must still
+  // carry the packet after the fallback below pins the survivor.
+  if (meta_seq >= meta_una_ && meta_seq < next_meta_seq_ &&
+      requeue(unacked_[meta_seq - meta_una_])) {
+    trigger({TriggerKind::kDataPushed, slot});
   }
   enter_fallback(slot, cause);
 }
@@ -774,27 +767,40 @@ void MptcpConnection::abandon_subflow(int slot) {
   // close() harvests from every non-closed state (established or failed) and
   // lands in kClosed, which can_revive() refuses — abandoned subflows never
   // come back, unlike failed ones.
-  std::vector<SkbPtr> orphans = sbf.close();
-  for (const SkbPtr& skb : orphans) {
+  // Unlike a path death — where the stranded data is a *suspected loss* and
+  // goes through RQ's reinjection-first rule — fallback re-owns the data at
+  // the meta level: return it to the sending queue, exactly like the
+  // window-blocked requeue. Schedulers with no reinjection clause
+  // (opportunistic_redundant only ever pops Q) would strand an RQ harvest
+  // forever and wedge the post-fallback stream.
+  for (const SkbPtr& skb : sbf.close()) {
     // Same stale-mark scrub as fail_subflow: whatever was on the abandoned
     // wire is gone, and !SENT_ON reinjection filters must see the packets as
     // placeable on the survivor.
     skb->sent_mask &= ~(1u << static_cast<unsigned>(slot));
-  }
-  // Unlike a path death — where the stranded data is a *suspected loss* and
-  // goes through RQ's reinjection-first rule — fallback re-owns the data at
-  // the meta level: return it to the front of the sending queue in order,
-  // exactly like the window-blocked requeue. Schedulers with no reinjection
-  // clause (opportunistic_redundant only ever pops Q) would strand an RQ
-  // harvest forever and wedge the post-fallback stream.
-  for (auto it = orphans.rbegin(); it != orphans.rend(); ++it) {
-    const SkbPtr& skb = *it;
-    if (skb->acked || skb->dropped || skb->in_q || skb->in_rq) continue;
-    queues_.q.push_front(skb);
+    requeue(skb);
   }
   cancel_persist_chain();
   if (health_ != nullptr) health_->on_subflow_closed(slot);
   trigger({TriggerKind::kSubflowClosed, slot});
+}
+
+bool MptcpConnection::requeue(const SkbPtr& skb) {
+  if (skb->acked || skb->dropped || skb->in_q || skb->in_rq) return false;
+  // Q is sorted by meta_seq: insert before the first later packet.
+  PacketQueue& q = queues_.q;
+  std::size_t lo = 0;
+  std::size_t hi = q.size();
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (q.at(mid)->meta_seq < skb->meta_seq) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  q.insert(lo, skb);
+  return true;
 }
 
 void MptcpConnection::cancel_persist_chain() {

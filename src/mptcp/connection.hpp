@@ -432,10 +432,15 @@ class MptcpConnection {
   void enter_fallback(int bad_slot, MappingFailure cause);
   /// close()-style teardown used by the fallback transition: harvest +
   /// sent-mask clearing (like fail_subflow — whatever was on the abandoned
-  /// wire is as good as gone) + RQ reinjection, persist-chain cancellation
+  /// wire is as good as gone) + requeue into Q, persist-chain cancellation
   /// and a kSubflowClosed trigger. The subflow ends up kClosed: not
   /// revivable, per the single-path pin.
   void abandon_subflow(int slot);
+  /// Returns `skb` to Q at its meta-order position, unless it is ACKed,
+  /// dropped or already waiting in Q or RQ; returns whether it was queued.
+  /// Q stays sorted by meta_seq: a lowest packet queued behind packets the
+  /// window cannot take would never be sent, and DATA_ACK could never move.
+  bool requeue(const SkbPtr& skb);
   /// Cancels an armed zero-window persist-probe chain (epoch bump): when
   /// the sender is no longer window-blocked, and whenever a subflow ceases
   /// to exist (close/fail/abandon) so no probe rides a dead subflow;

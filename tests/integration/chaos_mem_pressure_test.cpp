@@ -8,16 +8,13 @@
 // past the pool, and no member's buffer target or advertised window exceeds
 // its grant — even mid-shed, mid-restore, mid-blackout.
 //
-// Failure handoff mirrors the single-connection soak: the first failing
-// plan is minimized and written to $PROGMP_CHAOS_ARTIFACT_DIR for CI upload.
+// Failure handoff is the shared shard helper's (chaos_shard.hpp).
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
-#include <string>
 
 #include "apps/chaos.hpp"
+#include "chaos_shard.hpp"
 #include "core/time.hpp"
 
 namespace progmp {
@@ -33,41 +30,13 @@ ChaosOptions mem_options() {
   return opts;
 }
 
-/// CI handoff: shrink the offending plan and drop it where the workflow's
-/// artifact-upload step looks. No-op outside CI.
-void write_failure_artifact(const ChaosPlan& plan, const ChaosOptions& opts) {
-  const char* dir = std::getenv("PROGMP_CHAOS_ARTIFACT_DIR");
-  if (dir == nullptr) return;
-  const ChaosPlan minimized = apps::minimize_chaos_plan(plan, opts);
-  std::ofstream out(std::string(dir) + "/chaos_mem_failing_plan.txt");
-  out << minimized.str();
-}
-
 /// One shard: seeds [first, first + count) under the memory-pressure fleet.
 void run_shard(std::uint64_t first, std::uint64_t count) {
-  const ChaosOptions opts = mem_options();
-  for (std::uint64_t seed = first; seed < first + count; ++seed) {
-    const ChaosPlan plan = apps::make_chaos_plan(seed, opts);
-    ASSERT_GT(plan.pool_bytes, 0) << "seed " << seed;
-    ASSERT_FALSE(plan.priorities.empty()) << "seed " << seed;
-    const ChaosVerdict v = apps::run_chaos_plan(plan, opts);
-    EXPECT_GT(v.checker_runs, 0u) << "checker never ran, seed " << seed;
-    EXPECT_TRUE(v.invariants_ok)
-        << "seed " << seed << ": " << v.violations
-        << " invariant violation(s), first: " << v.first_violation << "\n"
-        << plan.str();
-    EXPECT_TRUE(v.delivered_all)
-        << "seed " << seed << ": delivered " << v.delivered << " of "
-        << v.written << " bytes (deaths=" << v.deaths
-        << " revivals=" << v.revivals << " stalls=" << v.stalls
-        << " pressure=" << v.mem_pressure_episodes
-        << " sheds=" << v.mem_sheds << ")\n"
-        << plan.str();
-    if (::testing::Test::HasFailure()) {
-      write_failure_artifact(plan, opts);
-      return;  // first failing seed is enough
-    }
-  }
+  test::run_chaos_shard(mem_options(), first, count,
+                        [](const ChaosPlan& plan, const ChaosVerdict&) {
+                          EXPECT_GT(plan.pool_bytes, 0) << plan.str();
+                          EXPECT_FALSE(plan.priorities.empty()) << plan.str();
+                        });
 }
 
 TEST(ChaosMemPressureTest, Seeds0To9) { run_shard(0, 10); }

@@ -8,6 +8,8 @@
 //
 // The soak is sharded into consecutive seed ranges so `ctest -j` spreads the
 // wall-clock across cores and a single timeout cannot eat the whole sweep.
+// The composed shard runs the memory-pressure, tamper and hostile-spec modes
+// in one world.
 // The self-test shard runs a deliberately-broken engine (fail_subflow drops
 // its harvest) and asserts the checker catches it AND that the minimizer
 // shrinks the failing plan — proof the soak can actually detect the class of
@@ -15,11 +17,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
 #include <string>
 
 #include "apps/chaos.hpp"
+#include "chaos_shard.hpp"
 #include "core/time.hpp"
 
 namespace progmp {
@@ -29,50 +30,28 @@ using apps::ChaosOptions;
 using apps::ChaosPlan;
 using apps::ChaosVerdict;
 
-/// CI handoff: when a shard fails, shrink the offending plan and drop it
-/// where the workflow's artifact-upload step looks
-/// (`$PROGMP_CHAOS_ARTIFACT_DIR/chaos_failing_plan.txt`). No-op outside CI.
-void write_failure_artifact(const ChaosPlan& plan, const ChaosOptions& opts) {
-  const char* dir = std::getenv("PROGMP_CHAOS_ARTIFACT_DIR");
-  if (dir == nullptr) return;
-  const ChaosPlan minimized = apps::minimize_chaos_plan(plan, opts);
-  std::ofstream out(std::string(dir) + "/chaos_failing_plan.txt");
-  out << minimized.str();
-}
-
-/// One soak shard: seeds [first, first + count). Middlebox tampering (and the
-/// RFC 8684-style fallback detection it exercises) is folded into the regular
-/// soak: tamper draws come after every legacy draw, so each seed's fault list
-/// is a strict superset of the pre-tamper plan for that seed.
-void run_shard(std::uint64_t first, std::uint64_t count,
-               std::int64_t* fallbacks_seen = nullptr) {
+/// The single-connection soak. Middlebox tampering (and the RFC 8684-style
+/// fallback detection it exercises) is folded in: tamper draws come after
+/// every legacy draw, so each seed's fault list is a strict superset of the
+/// pre-tamper plan for that seed.
+ChaosOptions tamper_options() {
   ChaosOptions opts;
   opts.middlebox_tamper = true;
-  for (std::uint64_t seed = first; seed < first + count; ++seed) {
-    const ChaosPlan plan = apps::make_chaos_plan(seed, opts);
-    const ChaosVerdict v = apps::run_chaos_plan(plan, opts);
-    EXPECT_GT(v.checker_runs, 0u) << "checker never ran, seed " << seed;
-    EXPECT_TRUE(v.invariants_ok)
-        << "seed " << seed << ": " << v.violations
-        << " invariant violation(s), first: " << v.first_violation << "\n"
-        << plan.str();
-    EXPECT_TRUE(v.delivered_all)
-        << "seed " << seed << ": delivered " << v.delivered << " of "
-        << v.written << " bytes (deaths=" << v.deaths
-        << " revivals=" << v.revivals << " stalls=" << v.stalls << ")\n"
-        << plan.str();
-    if (fallbacks_seen != nullptr) *fallbacks_seen += v.fallbacks;
-    if (::testing::Test::HasFailure()) {
-      write_failure_artifact(plan, opts);
-      return;  // first failing seed is enough
-    }
-  }
+  return opts;
 }
 
-TEST(ChaosSoakTest, Seeds0To49) { run_shard(0, 50); }
-TEST(ChaosSoakTest, Seeds50To99) { run_shard(50, 50); }
-TEST(ChaosSoakTest, Seeds100To149) { run_shard(100, 50); }
-TEST(ChaosSoakTest, Seeds150To199) { run_shard(150, 50); }
+TEST(ChaosSoakTest, Seeds0To49) {
+  test::run_chaos_shard(tamper_options(), 0, 50);
+}
+TEST(ChaosSoakTest, Seeds50To99) {
+  test::run_chaos_shard(tamper_options(), 50, 50);
+}
+TEST(ChaosSoakTest, Seeds100To149) {
+  test::run_chaos_shard(tamper_options(), 100, 50);
+}
+TEST(ChaosSoakTest, Seeds150To199) {
+  test::run_chaos_shard(tamper_options(), 150, 50);
+}
 
 TEST(ChaosSoakTest, FallbackShardSeeds200To249) {
   // Dedicated middlebox-interference shard: same soak machinery over a fresh
@@ -81,12 +60,44 @@ TEST(ChaosSoakTest, FallbackShardSeeds200To249) {
   // RFC 8684-style fallback (otherwise the tamper episodes all punched air
   // and the fallback state machine went untested).
   std::int64_t fallbacks = 0;
-  run_shard(200, 50, &fallbacks);
+  test::run_chaos_shard(tamper_options(), 200, 50,
+                        [&](const ChaosPlan&, const ChaosVerdict& v) {
+                          fallbacks += v.fallbacks;
+                        });
   if (!::testing::Test::HasFailure()) {
     EXPECT_GT(fallbacks, 0)
         << "no seed in [200,250) ever fell back — tamper episodes too gentle";
   }
 }
+
+/// The composed shard: all three plan modes at once — a mixed-priority
+/// fleet on an undersized receive-memory pool, middlebox tampering with
+/// fallback detection armed on every tenant, and a hostile spec on tenant
+/// 0. Each seed keeps the hostile verdict on top of invariants and full
+/// delivery; each shard must see every mechanism act at least once.
+void run_composed_shard(std::uint64_t first, std::uint64_t count) {
+  ChaosOptions opts;
+  opts.memory_pressure = true;
+  opts.middlebox_tamper = true;
+  opts.hostile_spec = true;
+  ChaosVerdict sum;
+  test::run_chaos_shard(opts, first, count,
+                        [&](const ChaosPlan& plan, const ChaosVerdict& v) {
+                          test::expect_hostile_verdict(plan, v);
+                          sum.fallbacks += v.fallbacks;
+                          sum.mem_pressure_episodes += v.mem_pressure_episodes;
+                          sum.quarantines += v.quarantines;
+                          sum.reinstates += v.reinstates;
+                        });
+  if (::testing::Test::HasFailure()) return;
+  EXPECT_GT(sum.fallbacks, 0);
+  EXPECT_GT(sum.mem_pressure_episodes, 0);
+  EXPECT_GT(sum.quarantines, 0);
+  EXPECT_GT(sum.reinstates, 0);
+}
+
+TEST(ChaosComposedTest, Seeds0To24) { run_composed_shard(0, 25); }
+TEST(ChaosComposedTest, Seeds25To49) { run_composed_shard(25, 25); }
 
 TEST(ChaosSoakTest, SameSeedSamePlanAndVerdict) {
   // The soak is only debuggable if a failing seed replays bit-identically.
@@ -135,11 +146,14 @@ std::uint64_t fnv1a(std::uint64_t h, const std::string& bytes) {
 }
 
 TEST(ChaosSoakTest, TraceDigestIsPinned) {
-  // Golden for the replays: one digest over the event traces of the
-  // tampered soak's first 50 plans. 32 of them take the middlebox fallback
-  // and 37 send window updates under SWS avoidance, paths the fig1 and
-  // handover md5s never exercise. Like those md5s, re-pin only in a change
-  // that says why simulated behaviour had to move.
+  // Golden for the replays: one digest over the host traces (the tenant
+  // and the shared links) of the tampered soak's first 50 plans. 32 of them
+  // take the middlebox fallback and 37 send window updates under SWS
+  // avoidance, paths the fig1 and handover md5s never exercise. Like those
+  // md5s, re-pin only in a change that says why simulated behaviour had to
+  // move. Last re-pinned when the soak's connection became tenant 0 of a
+  // Host (its links now draw from the host-forked network stream) and
+  // requeued packets started keeping Q in meta order.
   ChaosOptions opts;
   opts.middlebox_tamper = true;
   opts.capture_trace = true;
@@ -150,7 +164,7 @@ TEST(ChaosSoakTest, TraceDigestIsPinned) {
     ASSERT_FALSE(v.trace_csv.empty()) << "seed " << seed;
     digest = fnv1a(digest, v.trace_csv);
   }
-  EXPECT_EQ(digest, 0xd7d87db98e2ca232ULL)
+  EXPECT_EQ(digest, 0xb3686ff15d5586d4ULL)
       << std::hex << "digest 0x" << digest;
 }
 

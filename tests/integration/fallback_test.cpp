@@ -14,6 +14,7 @@
 #include "core/trace.hpp"
 #include "mptcp/conn_invariants.hpp"
 #include "mptcp/connection.hpp"
+#include "sched/native.hpp"
 #include "sched/specs.hpp"
 #include "sim/faults.hpp"
 #include "sim/simulator.hpp"
@@ -145,6 +146,38 @@ TEST(FallbackTest, RedundantDuplicateCopiesAreHarvestedNotStranded) {
   EXPECT_GT(conn.wire_bytes_sent(), total);
   EXPECT_GT(conn.receiver().mapping_lost_segments(), 0);
   EXPECT_TRUE(checker.ok()) << checker.total_violations() << " violation(s)";
+}
+
+TEST(FallbackTest, RequeuedPacketsKeepQInMetaOrder) {
+  // The receiver refuses the first DSS-stripped packet, which returns to Q;
+  // the fallback then returns the abandoned subflow's later packets to Q
+  // too. Q must stay in meta order: with the window shrunk to four segments
+  // past DATA_ACK, a lowest packet queued behind packets the window cannot
+  // take would never be sent, and DATA_ACK could never move past it — a
+  // deadlock the persist timer only re-probes.
+  sim::Simulator sim;
+  mptcp::MptcpConnection conn(sim, fallback_config(), Rng(21));
+  conn.set_scheduler(sched::make_native_minrtt());
+
+  InvariantChecker checker;
+  mptcp::install_connection_invariants(checker, conn);
+  sim.set_post_event_hook([&checker, &sim] { checker.run(sim.now()); });
+
+  sim::FaultInjector faults(sim);
+  faults.tamper(conn.path(0).forward, milliseconds(30), TimeNs{0},
+                {sim::Link::TamperKind::kStripDss, /*rate=*/1.0});
+  sim.schedule_at(milliseconds(40),
+                  [&] { conn.set_recv_buf_grant(4 * 1400); });
+
+  const std::int64_t total = 200 * 1400;
+  conn.write(total);
+  sim.run_until(seconds(20));
+  checker.force_run(sim.now());
+
+  EXPECT_EQ(conn.fallbacks(), 1);
+  EXPECT_EQ(conn.delivered_bytes(), total);
+  EXPECT_TRUE(checker.ok()) << checker.violations().front().check << ": "
+                            << checker.violations().front().detail;
 }
 
 TEST(FallbackTest, AckOptionStrippingIsDetectedBySender) {

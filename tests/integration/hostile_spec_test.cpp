@@ -21,6 +21,7 @@
 #include "api/progmp_api.hpp"
 #include "apps/chaos.hpp"
 #include "apps/scenarios.hpp"
+#include "chaos_shard.hpp"
 #include "core/check.hpp"
 #include "core/rng.hpp"
 #include "core/time.hpp"
@@ -44,39 +45,16 @@ TEST(HostileSpecTest, HostileShardSeeds300To349) {
   std::int64_t quarantines = 0;
   std::int64_t reinstates = 0;
   int kinds_seen[3] = {0, 0, 0};
-  for (std::uint64_t seed = 300; seed < 350; ++seed) {
-    const ChaosPlan plan = apps::make_chaos_plan(seed, opts);
-    const ChaosVerdict v = apps::run_chaos_plan(plan, opts);
-    ASSERT_GE(plan.hostile_kind, 0);
-    ASSERT_LE(plan.hostile_kind, 2);
-    ++kinds_seen[plan.hostile_kind];
-    EXPECT_GT(v.checker_runs, 0u) << "checker never ran, seed " << seed;
-    EXPECT_TRUE(v.invariants_ok)
-        << "seed " << seed << ": " << v.violations
-        << " invariant violation(s), first: " << v.first_violation << "\n"
-        << plan.str();
-    // Full delivery for every tenant, the hostile one included: the default
-    // scheduler stands in while the flapper is parked.
-    EXPECT_TRUE(v.delivered_all)
-        << "seed " << seed << ": delivered " << v.delivered << " of "
-        << v.written << " bytes\n"
-        << plan.str();
-    if (plan.hostile_kind == 2) {
-      EXPECT_GT(v.quarantines, 0)
-          << "seed " << seed << ": fault flapper never quarantined\n"
-          << plan.str();
-    } else {
-      EXPECT_TRUE(v.hostile_load_rejected)
-          << "seed " << seed << ": hostile kind " << plan.hostile_kind
-          << " was accepted at load\n"
-          << plan.str();
-      EXPECT_FALSE(v.hostile_load_error.empty());
-      EXPECT_EQ(v.quarantines, 0) << "seed " << seed;
-    }
-    quarantines += v.quarantines;
-    reinstates += v.reinstates;
-    if (::testing::Test::HasFailure()) return;  // first failing seed is enough
-  }
+  // Full delivery for every tenant, the hostile one included: the default
+  // scheduler stands in while the flapper is parked.
+  test::run_chaos_shard(opts, 300, 50,
+                        [&](const ChaosPlan& plan, const ChaosVerdict& v) {
+                          test::expect_hostile_verdict(plan, v);
+                          ++kinds_seen[plan.hostile_kind % 3];
+                          quarantines += v.quarantines;
+                          reinstates += v.reinstates;
+                        });
+  if (::testing::Test::HasFailure()) return;
   // Liveness of the shard itself: each hostile kind actually ran, and the
   // quarantine state machine cycled (not just entered once).
   EXPECT_GT(kinds_seen[0], 0);

@@ -468,10 +468,10 @@ TEST(RwndChaosTest, SmallBufferPlansSurviveWithInvariants) {
   // both the window-blocked scheduling wedge and the stale-window-update
   // overrun. Full 200-seed shards run under `ctest -L chaos`; this variant
   // pins the hardest buffer size across a sample of seeds.
-  apps::ChaosOptions opts;
-  opts.recv_buf_override = 256 * 1024;
+  const apps::ChaosOptions opts;
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
-    const apps::ChaosPlan plan = apps::make_chaos_plan(seed, opts);
+    apps::ChaosPlan plan = apps::make_chaos_plan(seed, opts);
+    plan.recv_buf_bytes = 256 * 1024;
     const apps::ChaosVerdict v = apps::run_chaos_plan(plan, opts);
     EXPECT_TRUE(v.invariants_ok) << "seed " << seed << ": " << v.violations
                                  << " violation(s), first: "
