@@ -34,39 +34,21 @@ Host::Host(sim::Simulator& sim, ProgmpApi& api, Rng rng, Options opts)
       return connection(conn_id).delivered_bytes();
     });
   }
-  if (opts_.quarantine.enabled) {
-    quarantine_ = std::make_unique<SpecQuarantine>(sim_, opts_.quarantine);
-    quarantine_->set_demote_fn([this](const std::string& program,
-                                      std::int64_t faults, TimeNs cooldown,
-                                      std::int64_t ordinal) {
-      for (std::size_t i = 0; i < connections_.size(); ++i) {
-        if (scheduler_names_[i] != program) continue;
-        mptcp::MptcpConnection& conn = *connections_[i];
-        conn.quarantine_scheduler();
-        conn.set_quarantine_signal(1);
-        conn.tracer().emit(TraceEventType::kSpecQuarantine, sim_.now(), -1,
-                           static_cast<std::int32_t>(faults), cooldown.ns(),
-                           ordinal);
-      }
-    });
-    quarantine_->set_reinstate_fn(
-        [this](const std::string& program, TimeNs served) {
-          for (std::size_t i = 0; i < connections_.size(); ++i) {
-            if (scheduler_names_[i] != program) continue;
-            mptcp::MptcpConnection& conn = *connections_[i];
-            conn.reinstate_scheduler();
-            conn.set_quarantine_signal(2);
-            conn.tracer().emit(TraceEventType::kSpecReinstate, sim_.now(), -1,
-                               1, served.ns());
-          }
-        });
-    quarantine_->set_probation_clear_fn([this](const std::string& program) {
-      for (std::size_t i = 0; i < connections_.size(); ++i) {
-        if (scheduler_names_[i] == program) {
-          connections_[i]->set_quarantine_signal(0);
-        }
-      }
-    });
+  if (opts_.quarantine) quarantine_ = std::make_unique<SpecQuarantine>(*this);
+}
+
+void Host::set_program_phase(const std::string& program,
+                             SpecQuarantine::Phase phase, std::int32_t a,
+                             std::int64_t b, std::int64_t c) {
+  for (std::size_t i = 0; i < connections_.size(); ++i) {
+    if (scheduler_names_[i] != program) continue;
+    mptcp::MptcpConnection& conn = *connections_[i];
+    conn.set_quarantine_state(static_cast<std::int64_t>(phase));
+    if (phase == SpecQuarantine::Phase::kHealthy) continue;
+    conn.tracer().emit(phase == SpecQuarantine::Phase::kQuarantined
+                           ? TraceEventType::kSpecQuarantine
+                           : TraceEventType::kSpecReinstate,
+                       sim_.now(), -1, a, b, c);
   }
 }
 
@@ -134,8 +116,8 @@ mptcp::MptcpConnection* Host::open_connection(
     // A program already in quarantine stays demoted for new tenants too —
     // otherwise opening a connection would reset the containment.
     if (quarantine_->quarantined(scheduler_name)) {
-      opened->quarantine_scheduler();
-      opened->set_quarantine_signal(1);
+      opened->set_quarantine_state(
+          static_cast<std::int64_t>(SpecQuarantine::Phase::kQuarantined));
     }
   }
   return opened;
@@ -215,9 +197,7 @@ void Host::refresh_metrics() {
 }
 
 std::string Host::proc_dump() {
-  std::string out = "=== host ===\n";
-  if (quarantine_ != nullptr) out += quarantine_->proc_line() + '\n';
-  out += metrics().proc_dump();
+  std::string out = "=== host ===\n" + metrics().proc_dump();
   for (std::size_t i = 0; i < connections_.size(); ++i) {
     out += "\n=== conn " + std::to_string(i) +
            " (scheduler=" + scheduler_names_[i] + ") ===\n";

@@ -56,12 +56,11 @@ class Host {
     /// cannot grant RecvMemPool::kMinShareBytes.
     RecvMemPool::Config mem_pool;
 
-    // ---- Hostile-spec quarantine (SpecQuarantine) --------------------------
-    /// Per-program runtime-fault containment: a scheduler that keeps
-    /// faulting is demoted host-wide to the default scheduler for a
-    /// doubling cooldown, then reinstated on probation. Disabled by
-    /// default (quarantine.enabled = false — the seed behaviour).
-    SpecQuarantine::Config quarantine;
+    /// Hostile-spec quarantine (SpecQuarantine): a scheduler program that
+    /// keeps faulting is demoted host-wide to the default scheduler for a
+    /// doubling cooldown, then reinstated on probation. Off by default (the
+    /// seed behaviour).
+    bool quarantine = false;
   };
 
   /// `api` holds the loaded scheduler programs and must outlive the host.
@@ -112,10 +111,9 @@ class Host {
   [[nodiscard]] std::int64_t total_delivered_bytes() const;
   [[nodiscard]] std::int64_t total_wire_bytes_sent() const;
 
-  /// Aggregated /proc-style dump: the quarantine configuration (when
-  /// enabled) and the host registry (the network's per-link contention and
-  /// drop accounting included), then one section per connection
-  /// (conn-id-tagged metrics included).
+  /// Aggregated /proc-style dump: the host registry (the network's per-link
+  /// contention and drop accounting included), then one section per
+  /// connection (conn-id-tagged metrics included).
   [[nodiscard]] std::string proc_dump();
 
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
@@ -124,8 +122,8 @@ class Host {
   [[nodiscard]] RecvMemPool* mem_pool() { return mem_pool_.get(); }
   [[nodiscard]] const RecvMemPool* mem_pool() const { return mem_pool_.get(); }
 
-  /// The per-program quarantine manager — null while
-  /// Options::quarantine.enabled is false.
+  /// The per-program quarantine manager — null while Options::quarantine
+  /// is off.
   [[nodiscard]] SpecQuarantine* quarantine() { return quarantine_.get(); }
   [[nodiscard]] const SpecQuarantine* quarantine() const {
     return quarantine_.get();
@@ -140,9 +138,18 @@ class Host {
   }
 
  private:
+  friend class SpecQuarantine;
+
   /// Syncs the registry from the simulator, the connections and the
   /// managers; metrics() runs it on every read.
   void refresh_metrics();
+  /// SpecQuarantine's one call into the host: puts every tenant running
+  /// `program` into quarantine state `phase` (R94). Entering kQuarantined
+  /// traces spec_quarantine and entering kProbation spec_reinstate on each
+  /// such tenant, with payload a, b, c.
+  void set_program_phase(const std::string& program,
+                         SpecQuarantine::Phase phase, std::int32_t a = 0,
+                         std::int64_t b = 0, std::int64_t c = 0);
 
   sim::Simulator& sim_;
   ProgmpApi& api_;

@@ -1,22 +1,22 @@
 #include "api/spec_quarantine.hpp"
 
 #include <algorithm>
-#include <utility>
+
+#include "api/host.hpp"
 
 namespace progmp::api {
 
-SpecQuarantine::SpecQuarantine(sim::Simulator& sim, Config config)
-    : sim_(sim), config_(config) {}
+SpecQuarantine::SpecQuarantine(Host& host)
+    : host_(host), sim_(host.simulator()) {}
 
 void SpecQuarantine::on_fault(const std::string& program) {
-  if (!config_.enabled) return;
   ProgState& st = programs_[program];
   ++st.faults_total;
   const TimeNs now = sim_.now();
   switch (st.phase) {
     case Phase::kQuarantined:
-      // Already parked; the fault came from an execution that raced the
-      // demotion (or a straggler connection). Nothing to escalate.
+      // Already quarantined; the fault came from an execution that raced
+      // the demotion (or a straggler connection). Nothing to escalate.
       return;
     case Phase::kProbation:
       // Probation is one-strike: this fault alone re-enters quarantine
@@ -28,11 +28,11 @@ void SpecQuarantine::on_fault(const std::string& program) {
       break;
   }
   st.recent.push_back(now);
-  const TimeNs horizon = now - config_.window;
+  const TimeNs horizon = now - kWindow;
   while (!st.recent.empty() && st.recent.front() < horizon) {
     st.recent.pop_front();
   }
-  if (static_cast<int>(st.recent.size()) >= config_.fault_threshold) {
+  if (static_cast<int>(st.recent.size()) >= kFaultThreshold) {
     quarantine(program, st);
   }
 }
@@ -42,15 +42,17 @@ void SpecQuarantine::quarantine(const std::string& program, ProgState& st) {
     sim_.cancel(st.timer);
     st.timer = 0;
   }
-  if (st.cooldown == TimeNs{0}) st.cooldown = config_.cooldown_initial;
+  if (st.cooldown == TimeNs{0}) st.cooldown = kCooldownInitial;
   const TimeNs cooldown = st.cooldown;
-  st.cooldown = std::min(st.cooldown * 2, config_.cooldown_max);
+  st.cooldown = std::min(st.cooldown * 2, kCooldownMax);
   st.phase = Phase::kQuarantined;
   ++st.quarantines;
   ++total_quarantines_;
   const auto faults_in_window = static_cast<std::int64_t>(st.recent.size());
   st.recent.clear();
-  if (demote_) demote_(program, faults_in_window, cooldown, st.quarantines);
+  host_.set_program_phase(program, Phase::kQuarantined,
+                          static_cast<std::int32_t>(faults_in_window),
+                          cooldown.ns(), st.quarantines);
   st.timer = sim_.schedule_after(
       cooldown, [this, program, cooldown] { reinstate(program, cooldown); });
 }
@@ -61,8 +63,8 @@ void SpecQuarantine::reinstate(const std::string& program, TimeNs served) {
   ProgState& st = it->second;
   st.phase = Phase::kProbation;
   ++total_reinstates_;
-  if (reinstate_) reinstate_(program, served);
-  st.timer = sim_.schedule_after(config_.probation,
+  host_.set_program_phase(program, Phase::kProbation, 1, served.ns());
+  st.timer = sim_.schedule_after(kProbation,
                                  [this, program] { clear_probation(program); });
 }
 
@@ -74,7 +76,7 @@ void SpecQuarantine::clear_probation(const std::string& program) {
   st.timer = 0;
   st.cooldown = TimeNs{0};  // trust restored: next quarantine starts over
   st.recent.clear();
-  if (clear_) clear_(program);
+  host_.set_program_phase(program, Phase::kHealthy);
 }
 
 bool SpecQuarantine::quarantined(const std::string& program) const {
@@ -96,13 +98,6 @@ SpecQuarantine::stats() const {
     out.emplace_back(name, s);
   }
   return out;
-}
-
-std::string SpecQuarantine::proc_line() const {
-  if (!config_.enabled) return "quarantine: disabled";
-  return "quarantine: enabled threshold=" +
-         std::to_string(config_.fault_threshold) +
-         " window=" + config_.window.str();
 }
 
 }  // namespace progmp::api

@@ -310,14 +310,7 @@ ChaosVerdict run_chaos_plan(const ChaosPlan& plan, const ChaosOptions& opts) {
   hopts.trace_capacity = 1 << 20;
   hopts.mem_pool.pool_bytes = plan.pool_bytes;
   hopts.mem_pool.shed_after = 2;
-  if (hostile) {
-    hopts.quarantine.enabled = true;
-    hopts.quarantine.fault_threshold = 4;
-    hopts.quarantine.window = milliseconds(500);
-    hopts.quarantine.cooldown_initial = milliseconds(500);
-    hopts.quarantine.cooldown_max = seconds(8);
-    hopts.quarantine.probation = milliseconds(250);
-  }
+  hopts.quarantine = hostile;
   // The host's RNG — and with it the network's link draws — is derived
   // from the plan seed, so loss draws are part of the reproducible run.
   api::Host host(sim, papi, Rng(plan.seed ^ 0xc4a05f00dULL), hopts);

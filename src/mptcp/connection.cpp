@@ -108,85 +108,71 @@ int MptcpConnection::create_subflow(const SubflowSpec& spec) {
       on_path_state(slot, up);
     });
   }
-  SubflowSender::Host host;
-  host.may_transmit = [this](const SkbPtr& skb) {
-    // The same window test as the scheduler's HAS_WINDOW_FOR.
-    return skb->byte_offset + static_cast<std::uint64_t>(skb->size) <=
-           window_edge_bytes();
-  };
-  host.on_transmitted = [this](const SkbPtr& skb) {
-    right_edge_bytes_ =
-        std::max(right_edge_bytes_,
-                 skb->byte_offset + static_cast<std::uint64_t>(skb->size));
-    if (!skb->in_qu && !skb->acked && !skb->dropped) {
-      queues_.qu.push_back(skb);  // sets in_qu; byte aggregate follows
-    }
-  };
-  host.on_ack_done = [this](int s) {
-    // A successful ACK proves the path works post-restore; a later death is
-    // then a genuine black-path death, not the tail of a healed outage.
-    restore_amnesty_[static_cast<std::size_t>(s)] = false;
-    if (cfg_.receiver.autotune) {
-      // Feed the DRS epoch clock the smallest smoothed RTT across the
-      // established subflows — the receive buffer must cover the *fastest*
-      // path's delivery rate, and the hint only changes on real samples.
-      TimeNs best{0};
-      for (const auto& sbf : subflows_) {
-        if (!sbf->established() || !sbf->rtt().has_sample()) continue;
-        if (best <= TimeNs{0} || sbf->rtt().srtt() < best) {
-          best = sbf->rtt().srtt();
-        }
-      }
-      if (best > TimeNs{0}) receiver_->set_rtt_hint(best);
-    }
-    trigger({TriggerKind::kAck, s});
-  };
-  host.on_loss_suspected = [this](int s, const SkbPtr& skb) {
-    handle_loss_suspected(s, skb);
-  };
-  host.on_meta_ack = [this](std::uint64_t meta_ack, std::int64_t rwnd,
-                            std::int64_t wnd_stamp) {
-    handle_meta_ack(meta_ack, rwnd, wnd_stamp);
-  };
-  host.on_tsq_freed = [this](int s) { trigger({TriggerKind::kTsqFreed, s}); };
-  host.on_window_blocked = [this](int, std::vector<SkbPtr> blocked) {
-    // The receive window regressed under packets already scheduled onto the
-    // subflow: return them to the meta sending queue so they are
-    // rescheduled when the window reopens instead of squatting on the
-    // subflow's cwnd headroom. Packets that meanwhile gained another owner
-    // (acked, dropped, re-entered Q or RQ, e.g. a redundant copy) are
-    // simply released.
-    for (const SkbPtr& skb : blocked) requeue(skb);
-  };
-  host.on_ack_tampered = [this](int s) {
-    ++ack_tampered_acks_;
-    enter_fallback(s, MappingFailure::kAckStripped);
-  };
-  host.on_subflow_dead = [this](int s) {
-    fail_subflow(s);
-    // RTO backoff can place the fatal consecutive RTO *after* the link
-    // already came back up (short blackouts). No further up-transition will
-    // arrive in that case, so a death whose RTO spiral straddled a restore
-    // must arm its own revival check or the subflow stays dead forever.
-    // The amnesty is one-shot per restore: a congestion death on a link
-    // that never went down (or that already ACKed since the restore) keeps
-    // the stay-dead-until-restore semantics, as do manual fail_subflow()
-    // calls — otherwise an up-but-black path would churn die/revive and
-    // starve the backup-subflow failover. With probe_revival the monitor
-    // owns revival: fail_subflow() above already started probing the (up)
-    // path, which subsumes the amnesty with an actual end-to-end proof.
-    if (!cfg_.probe_revival && restore_amnesty_[static_cast<std::size_t>(s)] &&
-        path(s).forward.is_up()) {
-      restore_amnesty_[static_cast<std::size_t>(s)] = false;
-      schedule_revival_check(s, std::max(cfg_.revival_min_uptime, TimeNs{0}));
-    }
-  };
-
   subflows_.push_back(std::make_unique<SubflowSender>(
-      sim_, *paths_.back(), *receiver_, slot, spec.sender,
-      cfg_.rto_death_threshold, make_cc(), std::move(host)));
-  subflows_.back()->set_tracer(&trace_);
+      *this, *paths_.back(), slot, spec.sender, make_cc()));
   return slot;
+}
+
+void MptcpConnection::on_transmitted(const SkbPtr& skb) {
+  right_edge_bytes_ =
+      std::max(right_edge_bytes_,
+               skb->byte_offset + static_cast<std::uint64_t>(skb->size));
+  if (!skb->in_qu && !skb->acked && !skb->dropped) {
+    queues_.qu.push_back(skb);  // sets in_qu; byte aggregate follows
+  }
+}
+
+void MptcpConnection::on_ack_done(int slot) {
+  // A successful ACK proves the path works post-restore; a later death is
+  // then a genuine black-path death, not the tail of a healed outage.
+  restore_amnesty_[static_cast<std::size_t>(slot)] = false;
+  if (cfg_.receiver.autotune) {
+    // Feed the DRS epoch clock the smallest smoothed RTT across the
+    // established subflows — the receive buffer must cover the *fastest*
+    // path's delivery rate, and the hint only changes on real samples.
+    TimeNs best{0};
+    for (const auto& sbf : subflows_) {
+      if (!sbf->established() || !sbf->rtt().has_sample()) continue;
+      if (best <= TimeNs{0} || sbf->rtt().srtt() < best) {
+        best = sbf->rtt().srtt();
+      }
+    }
+    if (best > TimeNs{0}) receiver_->set_rtt_hint(best);
+  }
+  trigger({TriggerKind::kAck, slot});
+}
+
+void MptcpConnection::on_window_blocked(const PacketQueue& blocked) {
+  // Rescheduled when the window reopens. Packets that meanwhile gained
+  // another owner (acked, dropped, re-entered Q or RQ, e.g. a redundant
+  // copy) are simply released.
+  for (const SkbPtr& skb : blocked) requeue(skb);
+}
+
+void MptcpConnection::on_ack_tampered(int slot) {
+  ++ack_tampered_acks_;
+  enter_fallback(slot, MappingFailure::kAckStripped);
+}
+
+void MptcpConnection::on_subflow_dead(int slot) {
+  fail_subflow(slot);
+  // RTO backoff can place the fatal consecutive RTO *after* the link
+  // already came back up (short blackouts). No further up-transition will
+  // arrive in that case, so a death whose RTO spiral straddled a restore
+  // must arm its own revival check or the subflow stays dead forever.
+  // The amnesty is one-shot per restore: a congestion death on a link
+  // that never went down (or that already ACKed since the restore) keeps
+  // the stay-dead-until-restore semantics, as do manual fail_subflow()
+  // calls — otherwise an up-but-black path would churn die/revive and
+  // starve the backup-subflow failover. With probe_revival the monitor
+  // owns revival: fail_subflow() above already started probing the (up)
+  // path, which subsumes the amnesty with an actual end-to-end proof.
+  const auto s = static_cast<std::size_t>(slot);
+  if (!cfg_.probe_revival && restore_amnesty_[s] &&
+      path(slot).forward.is_up()) {
+    restore_amnesty_[s] = false;
+    schedule_revival_check(slot, std::max(cfg_.revival_min_uptime, TimeNs{0}));
+  }
 }
 
 void MptcpConnection::set_scheduler(std::unique_ptr<Scheduler> scheduler) {
@@ -217,26 +203,7 @@ QueueWalk walk(const PacketQueue& queue) {
   return w;
 }
 
-/// Stand-in installed while the real program is quarantined: the built-in
-/// default scheduler behind the regular Scheduler interface.
-class QuarantineStandIn final : public Scheduler {
- public:
-  void schedule(SchedulerContext& ctx) override { run_default_minrtt(ctx); }
-  [[nodiscard]] std::string name() const override { return "default"; }
-};
-
 }  // namespace
-
-void MptcpConnection::quarantine_scheduler() {
-  if (scheduler_ == nullptr || quarantined_original_ != nullptr) return;
-  quarantined_original_ = std::move(scheduler_);
-  scheduler_ = std::make_unique<QuarantineStandIn>();
-}
-
-void MptcpConnection::reinstate_scheduler() {
-  if (quarantined_original_ == nullptr) return;
-  scheduler_ = std::move(quarantined_original_);
-}
 
 void MptcpConnection::write(std::int64_t bytes, const SkbProps& props) {
   PROGMP_CHECK_MSG(scheduler_ != nullptr, "no scheduler installed");
@@ -636,11 +603,18 @@ bool MptcpConnection::run_scheduler_once(Trigger t) {
   ctx.reset(now, t, infos_, window_edge_bytes());
   ctx.set_env_signals({mem_pressure_level_, receiver_->dsack_dup_segments(),
                        static_cast<std::int64_t>(fallback_state_),
-                       quarantine_signal_});
+                       quarantine_state_});
   ++sched_stats_.executions;
   trace_.emit(TraceEventType::kSchedExecStart, now, t.subflow_slot,
               static_cast<std::int32_t>(t.kind));
-  scheduler_->schedule(ctx);
+  if (quarantine_state_ == 1) {
+    // Quarantined: the default stands in, and the proc dump's backend line
+    // says so.
+    ctx.note_exec("default", 0);
+    run_default_minrtt(ctx);
+  } else {
+    scheduler_->schedule(ctx);
+  }
   last_exec_backend_ = ctx.exec_backend();
   if (ctx.faulted()) {
     // Runtime fault containment (§3.3): the faulting execution's visible
@@ -656,8 +630,8 @@ bool MptcpConnection::run_scheduler_once(Trigger t) {
     ctx.rollback();
     run_default_minrtt(ctx);
     last_exec_backend_ = "fallback";
-    // The observer runs last: it may quarantine (swap out) the scheduler,
-    // which must not happen while this execution still references it.
+    // The observer runs last: it may quarantine the program, which takes
+    // effect from the next execution on.
     if (fault_observer_) fault_observer_(kind, t.kind);
   }
   hist_insns_per_exec_->add(ctx.exec_insns());
@@ -867,8 +841,7 @@ void MptcpConnection::refresh_metrics() {
   *metrics_.gauge("conn.flow_ends") = q.flow_ends + qu.flow_ends + rq.flow_ends;
   *metrics_.gauge("conn.rwnd_bytes") = rwnd_;
   *metrics_.gauge("conn.persist_armed") = persist_armed_ ? 1 : 0;
-  *metrics_.gauge("conn.quarantined") = scheduler_quarantined() ? 1 : 0;
-  *metrics_.gauge("conn.quarantine_signal") = quarantine_signal_;
+  *metrics_.gauge("conn.quarantine_signal") = quarantine_state_;
 
   *metrics_.counter("trace.emitted") =
       static_cast<std::int64_t>(trace_.total_emitted());

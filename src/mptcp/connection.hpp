@@ -171,32 +171,21 @@ class MptcpConnection {
   // ---- Quarantine (host-driven spec containment) --------------------------
   /// Observer for scheduler runtime faults, called after the engine rolled
   /// the faulting execution back (and ran the fallback). A Host uses it to
-  /// feed per-program fault scoring; the quarantine decision comes back via
-  /// quarantine_scheduler().
+  /// feed per-program fault scoring; the decision comes back through
+  /// set_quarantine_state().
   using FaultObserver = std::function<void(FaultKind, TriggerKind)>;
   void set_fault_observer(FaultObserver fn) {
     fault_observer_ = std::move(fn);
   }
 
-  /// Demotes the installed scheduler to the built-in default: the original
-  /// instance is parked (not destroyed — a shared program cache entry and
-  /// its registers survive) and every trigger runs run_default_minrtt until
-  /// reinstate_scheduler(). The caller (Host) owns the policy and emits the
-  /// kSpecQuarantine/kSpecReinstate trace events with the scoring payload.
-  /// No-op if already quarantined or no scheduler installed.
-  void quarantine_scheduler();
-  /// Restores the parked scheduler. No-op unless quarantined.
-  void reinstate_scheduler();
-  [[nodiscard]] bool scheduler_quarantined() const {
-    return quarantined_original_ != nullptr;
-  }
-  /// Quarantine state served to specs as R94 (0 active, 1 quarantined,
-  /// 2 probation); owned by the host's SpecQuarantine manager.
-  void set_quarantine_signal(std::int64_t state) {
-    quarantine_signal_ = state;
-  }
-  [[nodiscard]] std::int64_t quarantine_signal() const {
-    return quarantine_signal_;
+  /// The installed program's quarantine state, served to specs as R94:
+  /// 0 active, 1 quarantined (every trigger runs run_default_minrtt in the
+  /// program's place; the program and its registers stay installed),
+  /// 2 probation. Set by the host's SpecQuarantine manager, which also
+  /// emits the spec_quarantine / spec_reinstate trace events.
+  void set_quarantine_state(std::int64_t state) { quarantine_state_ = state; }
+  [[nodiscard]] std::int64_t quarantine_state() const {
+    return quarantine_state_;
   }
 
   /// Pushes `bytes` of application data into the sending queue Q, split
@@ -381,7 +370,32 @@ class MptcpConnection {
   void trigger(Trigger t);
 
  private:
+  friend class SubflowSender;
+
   int create_subflow(const SubflowSpec& spec);
+
+  // ---- Subflow events (called by the owned SubflowSenders) ----------------
+  /// A packet went on the wire for the first time on any subflow: it moves
+  /// into QU.
+  void on_transmitted(const SkbPtr& skb);
+  /// ACK processing on `slot` finished (cwnd may have opened, meta ack
+  /// advanced).
+  void on_ack_done(int slot);
+  /// The receive window regressed under packets already scheduled on a
+  /// subflow, whose whole remaining queue arrives here in order. Returning
+  /// it to Q keeps window-blocked packets from squatting in the subflow
+  /// queue, where they count against the cwnd_free() availability test
+  /// forever. That can starve reinjection placement and wedge the
+  /// connection: the packets can only transmit once meta_una advances, and
+  /// meta_una can only advance via the starved reinjections.
+  void on_window_blocked(const PacketQueue& blocked);
+  /// A pure ACK arrived with its MPTCP options stripped by a middlebox: the
+  /// DATA_ACK was lost in flight. Sender-side interference detection; may
+  /// fall back to single-path operation (RFC 8684 §3.7).
+  void on_ack_tampered(int slot);
+  /// `slot` hit its consecutive-RTO death threshold.
+  void on_subflow_dead(int slot);
+
   void schedule_watchdog_poll();
   void watchdog_poll();
   /// Up/down observer for the forward (data) link of `slot` — drives the
@@ -515,9 +529,7 @@ class MptcpConnection {
   /// Per-FaultKind runtime-fault counts (index = FaultKind value).
   std::array<std::int64_t, 6> fault_counts_{};
   FaultObserver fault_observer_;
-  /// Parked original while the default scheduler stands in (quarantine).
-  std::unique_ptr<Scheduler> quarantined_original_;
-  std::int64_t quarantine_signal_ = 0;  ///< served to specs as R94
+  std::int64_t quarantine_state_ = 0;  ///< served to specs as R94
 
   Tracer trace_;
   MetricsRegistry metrics_;

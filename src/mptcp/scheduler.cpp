@@ -109,12 +109,6 @@ void SchedulerContext::rollback() {
 
 namespace {
 
-/// Usable for fresh data: established, not throttled, not in loss state,
-/// with congestion window room.
-bool minrtt_available(const SubflowInfo& s) {
-  return s.established && !s.tsq_throttled && !s.lossy && s.cwnd_free();
-}
-
 /// Lowest-RTT subflow among those satisfying `pred`; -1 if none.
 template <typename Pred>
 int min_rtt_slot(SchedulerContext& ctx, Pred&& pred) {
@@ -150,7 +144,7 @@ void run_default_minrtt(SchedulerContext& ctx) {
   if (!ctx.queue(QueueId::kRq).empty()) {
     const SkbPtr& head = ctx.queue(QueueId::kRq).front();
     int slot = min_rtt_slot(ctx, [&](const SubflowInfo& s) {
-      return minrtt_available(s) && backup_ok(s) && !head->sent_on(s.slot);
+      return s.available() && backup_ok(s) && !head->sent_on(s.slot);
     });
     // The fresh-path preference must not become a permanent bar: a packet
     // every eligible subflow has already carried (e.g. an orphan of a
@@ -159,7 +153,7 @@ void run_default_minrtt(SchedulerContext& ctx) {
     // TCP does exactly that — or the RQ head wedges the connection.
     if (slot < 0) {
       slot = min_rtt_slot(ctx, [&](const SubflowInfo& s) {
-        return minrtt_available(s) && backup_ok(s);
+        return s.available() && backup_ok(s);
       });
     }
     if (slot >= 0) {
@@ -174,7 +168,7 @@ void run_default_minrtt(SchedulerContext& ctx) {
   if (!ctx.has_window_for(ctx.queue(QueueId::kQ).front())) return;
 
   const int slot = min_rtt_slot(ctx, [&](const SubflowInfo& s) {
-    return minrtt_available(s) && backup_ok(s);
+    return s.available() && backup_ok(s);
   });
   if (slot >= 0) {
     ctx.push(slot, ctx.pop(QueueId::kQ));

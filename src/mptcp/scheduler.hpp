@@ -80,10 +80,15 @@ struct SubflowInfo {
   TimeNs established_at{0};
   TimeNs last_tx_at{0};
 
-  /// The default scheduler's availability test: room in the congestion
-  /// window, not throttled, not in loss recovery.
+  /// Room in the congestion window: the packets in flight and queued on the
+  /// subflow leave part of cwnd free.
   [[nodiscard]] bool cwnd_free() const {
     return cwnd > skbs_in_flight + queued;
+  }
+  /// Usable for fresh data: established, not TSQ-throttled, not in loss
+  /// recovery, with cwnd_free() room. The default scheduler's test.
+  [[nodiscard]] bool available() const {
+    return established && !tsq_throttled && !lossy && cwnd_free();
   }
 };
 

@@ -3,38 +3,31 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "mptcp/connection.hpp"
+
 namespace progmp::mptcp {
 
-SubflowSender::SubflowSender(sim::Simulator& sim, sim::NetPath& path,
-                             Receiver& receiver, int slot, Config cfg,
-                             int rto_death_threshold,
-                             std::unique_ptr<tcp::CongestionControl> cc,
-                             Host host)
-    : sim_(sim),
+SubflowSender::SubflowSender(MptcpConnection& conn, sim::NetPath& path,
+                             int slot, Config cfg,
+                             std::unique_ptr<tcp::CongestionControl> cc)
+    : conn_(conn),
+      sim_(conn.simulator()),
       path_(path),
-      receiver_(receiver),
       slot_(slot),
       cfg_(std::move(cfg)),
-      rto_death_threshold_(rto_death_threshold),
       cc_(std::move(cc)),
-      host_(std::move(host)),
-      established_at_(sim.now()),
+      established_at_(sim_.now()),
+      trace_(conn.tracer()),
       alive_(std::make_shared<int>(0)) {
   PROGMP_CHECK(slot_ >= 0 && slot_ < kMaxSubflows);
   PROGMP_CHECK(cc_ != nullptr);
+  cc_->set_cwnd_hook([this](tcp::CwndEventKind kind, std::int64_t cwnd) {
+    trace_.emit(TraceEventType::kCwndChange, sim_.now(), slot_,
+                static_cast<std::int32_t>(kind), cwnd);
+  });
 }
 
 SubflowSender::~SubflowSender() { disarm_rto(); }
-
-void SubflowSender::set_tracer(Tracer* trace) {
-  trace_ = trace;
-  cc_->set_cwnd_hook([this](tcp::CwndEventKind kind, std::int64_t cwnd) {
-    if (trace_ != nullptr) {
-      trace_->emit(TraceEventType::kCwndChange, sim_.now(), slot_,
-                   static_cast<std::int32_t>(kind), cwnd);
-    }
-  });
-}
 
 void SubflowSender::enqueue(const SkbPtr& skb) {
   if (!established() || skb == nullptr || skb->acked || skb->dropped) return;
@@ -51,17 +44,16 @@ void SubflowSender::pump() {
       queue_.pop_front();
       continue;  // meta-acked while waiting: vanish from this queue too
     }
-    if (host_.may_transmit && !host_.may_transmit(skb)) {
-      if (host_.on_window_blocked) {
-        // Hand the whole remaining queue back to the connection rather than
-        // letting window-blocked packets occupy this subflow's cwnd
-        // headroom indefinitely (see Host::on_window_blocked).
-        std::vector<SkbPtr> blocked;
-        blocked.reserve(queue_.size());
-        for (const SkbPtr& skb : queue_) blocked.push_back(skb);
-        queue_.clear();
-        host_.on_window_blocked(slot_, std::move(blocked));
-      }
+    // TCP window semantics: the packet may go out iff its last byte stays
+    // within DATA_ACK + rwnd, so a packet below the current right edge (gap
+    // fill, reinjection) always fits.
+    if (skb->byte_offset + static_cast<std::uint64_t>(skb->size) >
+        conn_.window_edge_bytes()) {
+      // Hand the whole remaining queue back rather than letting
+      // window-blocked packets occupy this subflow's cwnd headroom
+      // indefinitely (see MptcpConnection::on_window_blocked).
+      conn_.on_window_blocked(queue_);
+      queue_.clear();
       break;
     }
     queue_.pop_front();
@@ -80,11 +72,9 @@ void SubflowSender::transmit_fresh(const SkbPtr& skb) {
   if (!reinject) skb->first_sent_at = now;
   ++stats_.segments_sent;
   stats_.bytes_sent += skb->size;
-  if (trace_ != nullptr) {
-    trace_->emit(TraceEventType::kTx, now, slot_, reinject ? 1 : 0, skb->size,
-                 static_cast<std::int64_t>(skb->meta_seq));
-  }
-  if (host_.on_transmitted) host_.on_transmitted(skb);
+  trace_.emit(TraceEventType::kTx, now, slot_, reinject ? 1 : 0, skb->size,
+              static_cast<std::int64_t>(skb->meta_seq));
+  conn_.on_transmitted(skb);
   put_on_wire(seg, /*is_retransmit=*/false);
   if (!rto_armed_) arm_rto();
 }
@@ -104,7 +94,7 @@ void SubflowSender::put_on_wire(const TxSeg& seg, bool is_retransmit) {
         if (guard.expired()) return;
         tsq_bytes_ -= size;
         pump();
-        if (host_.on_tsq_freed) host_.on_tsq_freed(slot_);
+        conn_.trigger({TriggerKind::kTsqFreed, slot_});
       },
       /*on_delivered=*/
       [this, guard, ds]() mutable {
@@ -124,7 +114,7 @@ void SubflowSender::put_on_wire(const TxSeg& seg, bool is_retransmit) {
           default:
             break;
         }
-        const AckInfo ack = receiver_.on_data(ds);
+        const AckInfo ack = conn_.receiver().on_data(ds);
         path_.reverse.send(kAckBytes, nullptr, [this, guard, ack] {
           if (guard.expired()) return;
           // An option-stripping middlebox on the ACK path removes the
@@ -141,9 +131,7 @@ void SubflowSender::put_on_wire(const TxSeg& seg, bool is_retransmit) {
               on_ack(ack);
             }
           }
-          if (ack_stripped && host_.on_ack_tampered) {
-            host_.on_ack_tampered(slot_);
-          }
+          if (ack_stripped) conn_.on_ack_tampered(slot_);
         });
       });
   if (sent) {
@@ -161,10 +149,8 @@ void SubflowSender::retransmit_head() {
   head.sent_at = sim_.now();
   ++stats_.segments_retransmitted;
   stats_.bytes_sent += head.size;
-  if (trace_ != nullptr) {
-    trace_->emit(TraceEventType::kRetx, sim_.now(), slot_, 0, head.size,
-                 static_cast<std::int64_t>(head.meta_seq));
-  }
+  trace_.emit(TraceEventType::kRetx, sim_.now(), slot_, 0, head.size,
+              static_cast<std::int64_t>(head.meta_seq));
   put_on_wire(head, /*is_retransmit=*/true);
 }
 
@@ -207,19 +193,15 @@ void SubflowSender::on_ack(const AckInfo& ack) {
     ++dupacks_;
     if (dupacks_ == kDupAckThreshold && !in_recovery_) {
       ++stats_.fast_retransmits;
-      if (trace_ != nullptr) {
-        const TxSeg& head = inflight_.front();
-        trace_->emit(TraceEventType::kFastRetx, now, slot_, 0, head.size,
-                     static_cast<std::int64_t>(head.meta_seq));
-      }
+      const TxSeg& head = inflight_.front();
+      trace_.emit(TraceEventType::kFastRetx, now, slot_, 0, head.size,
+                  static_cast<std::int64_t>(head.meta_seq));
       enter_recovery_and_reinject();
     }
   }
-  if (host_.on_meta_ack) {
-    host_.on_meta_ack(ack.meta_ack, ack.rwnd_bytes, ack.wnd_stamp);
-  }
+  conn_.handle_meta_ack(ack.meta_ack, ack.rwnd_bytes, ack.wnd_stamp);
   pump();
-  if (host_.on_ack_done) host_.on_ack_done(slot_);
+  conn_.on_ack_done(slot_);
 }
 
 void SubflowSender::enter_recovery_and_reinject() {
@@ -229,10 +211,7 @@ void SubflowSender::enter_recovery_and_reinject() {
   if (inflight_.empty()) return;
   const SkbPtr skb = inflight_.front().skb;
   retransmit_head();
-  if (skb != nullptr && !skb->acked && !skb->dropped &&
-      host_.on_loss_suspected) {
-    host_.on_loss_suspected(slot_, skb);
-  }
+  conn_.handle_loss_suspected(slot_, skb);
 }
 
 void SubflowSender::on_rto_fired() {
@@ -240,16 +219,13 @@ void SubflowSender::on_rto_fired() {
   if (!established() || inflight_.empty()) return;
   ++stats_.rtos;
   ++consecutive_rtos_;
-  if (trace_ != nullptr) {
-    trace_->emit(TraceEventType::kRto, sim_.now(), slot_, rto_backoff_);
-  }
-  const int death_threshold = probation_ ? 1 : rto_death_threshold_;
-  if (rto_death_threshold_ > 0 && consecutive_rtos_ >= death_threshold &&
-      host_.on_subflow_dead) {
-    // The path looks dead. Hand the decision to the connection (which is
-    // expected to call fail()) instead of burning another retransmit on a
-    // black hole. Note: the callback may tear this subflow's queues down.
-    host_.on_subflow_dead(slot_);
+  trace_.emit(TraceEventType::kRto, sim_.now(), slot_, rto_backoff_);
+  const int threshold = conn_.config().rto_death_threshold;
+  if (threshold > 0 && consecutive_rtos_ >= (probation_ ? 1 : threshold)) {
+    // The path looks dead. Hand the decision to the connection (which
+    // calls fail()) instead of burning another retransmit on a black hole.
+    // Note: the call tears this subflow's queues down.
+    conn_.on_subflow_dead(slot_);
     return;
   }
   cc_->on_rto();
@@ -259,10 +235,7 @@ void SubflowSender::on_rto_fired() {
   const SkbPtr skb = inflight_.front().skb;
   retransmit_head();
   arm_rto();
-  if (skb != nullptr && !skb->acked && !skb->dropped &&
-      host_.on_loss_suspected) {
-    host_.on_loss_suspected(slot_, skb);
-  }
+  conn_.handle_loss_suspected(slot_, skb);
 }
 
 void SubflowSender::arm_rto() {
@@ -360,10 +333,8 @@ std::vector<SkbPtr> SubflowSender::fail() {
   if (state_ != State::kEstablished) return {};
   state_ = State::kFailed;
   ++stats_.deaths;
-  if (trace_ != nullptr) {
-    trace_->emit(TraceEventType::kSubflowDead, sim_.now(), slot_,
-                 consecutive_rtos_);
-  }
+  trace_.emit(TraceEventType::kSubflowDead, sim_.now(), slot_,
+              consecutive_rtos_);
   return harvest_and_clear();
 }
 

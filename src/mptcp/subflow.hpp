@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -32,6 +31,11 @@
 
 namespace progmp::mptcp {
 
+class MptcpConnection;
+
+/// Owned by one MptcpConnection and calls it directly: the meta-level window
+/// gate, first transmissions, ACKs, suspected losses, freed TSQ budget, dead
+/// paths and stripped ACK options all go to the connection (a friend).
 class SubflowSender {
  public:
   struct Config {
@@ -44,50 +48,6 @@ class SubflowSender {
     bool preferred = true;
   };
 
-  /// Callbacks into the owning connection.
-  struct Host {
-    /// Meta-level receive-window gate. TCP window semantics: the packet may
-    /// be transmitted iff its end offset stays within snd_una + rwnd — a
-    /// packet below the current right edge (gap fill, reinjection) always
-    /// fits.
-    std::function<bool(const SkbPtr& skb)> may_transmit;
-    /// A packet was put on the wire for the first time on any subflow — the
-    /// connection moves it into QU.
-    std::function<void(const SkbPtr&)> on_transmitted;
-    /// ACK processing finished (cwnd may have opened, meta ack advanced).
-    std::function<void(int slot)> on_ack_done;
-    /// Loss suspected for this packet (fast retransmit or RTO) — the
-    /// connection adds it to RQ and triggers the scheduler.
-    std::function<void(int slot, const SkbPtr&)> on_loss_suspected;
-    /// Cumulative data-level ACK, advertised window and emission-order
-    /// stamp from the receiver (AckInfo::wnd_stamp).
-    std::function<void(std::uint64_t meta_ack, std::int64_t rwnd,
-                       std::int64_t wnd_stamp)>
-        on_meta_ack;
-    /// TSQ budget freed — the scheduler may want to run.
-    std::function<void(int slot)> on_tsq_freed;
-    /// The consecutive-RTO death threshold was reached: the subflow looks
-    /// dead. The connection is expected to call fail() (reinjecting the
-    /// stranded packets); the subflow itself takes no further action on
-    /// this RTO.
-    std::function<void(int slot)> on_subflow_dead;
-    /// The queue head failed may_transmit (receive window regressed under
-    /// packets already scheduled here). The whole remaining queue is handed
-    /// back, in order, so the connection can return it to the meta sending
-    /// queue. Without this, window-blocked packets squat in the subflow
-    /// queue and count against the scheduler's cwnd_free() availability
-    /// test forever — which can starve reinjection placement and wedge the
-    /// connection (the packets can only transmit once meta_una advances,
-    /// and meta_una can only advance via the reinjections being starved).
-    std::function<void(int slot, std::vector<SkbPtr> blocked)>
-        on_window_blocked;
-    /// A pure ACK arrived with its MPTCP options stripped by a middlebox:
-    /// the TCP-header ack/window were processed normally but the DATA_ACK
-    /// was lost in flight. Sender-side interference detection — the
-    /// connection may fall back to single-path operation (RFC 8684 §3.7).
-    std::function<void(int slot)> on_ack_tampered;
-  };
-
   struct Stats {
     std::int64_t segments_sent = 0;       ///< fresh wire transmissions
     std::int64_t segments_retransmitted = 0;  ///< subflow-level retransmits
@@ -98,13 +58,11 @@ class SubflowSender {
     std::int64_t revivals = 0;   ///< times a dead subflow was revived
   };
 
-  /// `rto_death_threshold`: consecutive RTOs (no intervening ACK progress)
-  /// after which the subflow declares itself dead via
-  /// Host::on_subflow_dead; 0 disables detection (the connection's
-  /// Config::rto_death_threshold).
-  SubflowSender(sim::Simulator& sim, sim::NetPath& path, Receiver& receiver,
-                int slot, Config cfg, int rto_death_threshold,
-                std::unique_ptr<tcp::CongestionControl> cc, Host host);
+  /// Emits into `conn`'s tracer and declares itself dead after
+  /// `conn`'s Config::rto_death_threshold consecutive RTOs (no intervening
+  /// ACK progress; 0 disables detection).
+  SubflowSender(MptcpConnection& conn, sim::NetPath& path, int slot,
+                Config cfg, std::unique_ptr<tcp::CongestionControl> cc);
   ~SubflowSender();
 
   SubflowSender(const SubflowSender&) = delete;
@@ -123,11 +81,6 @@ class SubflowSender {
 
   /// Fresh property snapshot for the scheduler context.
   [[nodiscard]] SubflowInfo info(TimeNs now) const;
-
-  /// Connects the subflow to the connection-wide event tracer: wire
-  /// transmissions, retransmissions, RTOs and congestion-window changes are
-  /// emitted with this subflow's slot.
-  void set_tracer(Tracer* trace);
 
   // ---- Lifecycle ----------------------------------------------------------
   enum class State { kEstablished, kFailed, kClosed };
@@ -222,14 +175,12 @@ class SubflowSender {
   /// packets (deduplicated) and clears both queues.
   std::vector<SkbPtr> harvest_and_clear();
 
+  MptcpConnection& conn_;
   sim::Simulator& sim_;
   sim::NetPath& path_;
-  Receiver& receiver_;
   int slot_;
   Config cfg_;
-  int rto_death_threshold_;
   std::unique_ptr<tcp::CongestionControl> cc_;
-  Host host_;
 
   State state_ = State::kEstablished;
   TimeNs established_at_{0};
@@ -266,7 +217,7 @@ class SubflowSender {
   bool probation_ = false;
 
   Stats stats_;
-  Tracer* trace_ = nullptr;
+  Tracer& trace_;
 
   /// Lifetime token: simulator events capture a weak reference and become
   /// no-ops if the subflow has been destroyed (e.g. after a handover).

@@ -199,20 +199,18 @@ void thread_jumps(IrProgram& p) {
 
 }  // namespace
 
-IrProgram optimize(IrProgram program, const OptOptions& opts) {
-  if (opts.const_sbf_count >= 0) {
+IrProgram optimize(IrProgram program, std::int64_t const_sbf_count) {
+  if (const_sbf_count >= 0) {
     for (IrInst& inst : program.insts) {
       if (inst.op == IrOp::kSbfCount) {
-        inst = IrInst{IrOp::kConst, inst.dst, -1, -1, opts.const_sbf_count};
+        inst = IrInst{IrOp::kConst, inst.dst, -1, -1, const_sbf_count};
       }
     }
   }
-  if (opts.fold_constants) {
-    fold_constants(program);
-    fold_immediates(program);
-  }
-  if (opts.thread_jumps) thread_jumps(program);
-  if (opts.eliminate_dead_code) eliminate_dead_code(program);
+  fold_constants(program);
+  fold_immediates(program);
+  thread_jumps(program);
+  eliminate_dead_code(program);
   return program;
 }
 

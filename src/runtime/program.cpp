@@ -84,9 +84,7 @@ const ebpf::Code& ProgmpProgram::code_for_count(std::int64_t sbf_count) {
   // Compile a variant with the subflow count folded to a constant. If the
   // specialized pipeline fails for any reason, fall back to the generic
   // variant — the optimization must never change observable behaviour.
-  OptOptions opts;
-  opts.const_sbf_count = sbf_count;
-  IrProgram special = optimize(lower(ast_), opts);
+  IrProgram special = optimize(lower(ast_), sbf_count);
   ebpf::CompileResult compiled = ebpf::compile(special);
   if (!compiled.ok ||
       !ebpf::verify(compiled.code, effective_verify_options()).ok) {

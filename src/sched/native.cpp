@@ -9,12 +9,6 @@ using mptcp::SchedulerContext;
 using mptcp::SkbPtr;
 using mptcp::SubflowInfo;
 
-/// Usable for fresh data: established, not throttled, not in loss state,
-/// with congestion window room.
-bool available(const SubflowInfo& s) {
-  return s.established && !s.tsq_throttled && !s.lossy && s.cwnd_free();
-}
-
 class NativeMinRtt final : public Scheduler {
  public:
   void schedule(SchedulerContext& ctx) override {
@@ -63,7 +57,7 @@ class NativeRedundant final : public Scheduler {
   void schedule(SchedulerContext& ctx) override {
     ctx.note_exec("native", 0);
     for (const SubflowInfo& s : ctx.subflows()) {
-      if (!available(s)) continue;
+      if (!s.available()) continue;
       // Oldest in-flight packet this subflow has not carried yet; fresh
       // data once it has seen the whole flight.
       SkbPtr skb;

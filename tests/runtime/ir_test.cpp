@@ -110,9 +110,7 @@ TEST(IrOptTest, ConstantConditionThreadsJump) {
 
 TEST(IrOptTest, SubflowCountSpecialization) {
   lang::Program p = analyzed("SET(R1, SUBFLOWS.COUNT);");
-  OptOptions opts;
-  opts.const_sbf_count = 3;
-  IrProgram ir = optimize(lower(p), opts);
+  IrProgram ir = optimize(lower(p), /*const_sbf_count=*/3);
   EXPECT_EQ(count_op(ir, IrOp::kSbfCount), 0);
 }
 

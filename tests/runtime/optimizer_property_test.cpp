@@ -273,9 +273,8 @@ TEST_P(OptimizerProperty, OptimizationPreservesBehaviour) {
     // live count matches.
     FakeEnv env;
     make_env(env, env_seed);
-    OptOptions opts;
-    opts.const_sbf_count = static_cast<std::int64_t>(env.subflows.size());
-    const IrProgram special = optimize(lower(p), opts);
+    const IrProgram special =
+        optimize(lower(p), static_cast<std::int64_t>(env.subflows.size()));
     const Observed via_special = observe(
         spec, env_seed, [&](SchedulerEnv& senv) { exec_ir(special, senv); });
     EXPECT_EQ(reference, via_special) << spec;
