@@ -13,7 +13,6 @@
 #include "core/rng.hpp"
 #include "mptcp/conn_invariants.hpp"
 #include "mptcp/connection.hpp"
-#include "sched/native.hpp"
 #include "sched/specs.hpp"
 #include "sim/faults.hpp"
 #include "sim/network.hpp"
@@ -343,16 +342,6 @@ ChaosVerdict run_chaos_plan(const ChaosPlan& plan, const ChaosOptions& opts) {
     // A drawn pool always covers every tenant's admission minimum — this
     // soak is about degradation under pressure, not refusal.
     PROGMP_CHECK_MSG(conn != nullptr, err.c_str());
-    // Every tenant without a hostile program runs the native MinRTT: it
-    // carries the RQ fresh-path *fallback* (a packet every path already
-    // carried is still retransmittable), which the frozen builtin spec
-    // lacks — without it a double-lost reinjection wedges the meta gap
-    // forever and the delivery assertion would test the spec, not the
-    // machinery under fault. The hostile tenant keeps its loaded program so
-    // its faults feed the quarantine scoring.
-    if (sched_name == "minrtt") {
-      conn->set_scheduler(sched::make_native_minrtt());
-    }
     conn->set_test_drop_failed_subflow_orphans(
         opts.test_drop_failed_subflow_orphans);
     mptcp::install_connection_invariants(checker, *conn);

@@ -276,8 +276,8 @@ class SchedulerContext {
   /// (HAS_WINDOW_FOR, §3.3): its last byte lies within DATA_ACK + rwnd.
   /// This is the same test the subflow applies before it transmits, so the
   /// scheduler admits a packet exactly when the wire will send it. Window
-  /// accounting is at the meta level, so the subflow argument of the DSL
-  /// call does not change the outcome here.
+  /// accounting is at the meta level: the DSL call's subflow only has to be
+  /// non-NULL (rt::SchedulerEnv::has_window_for).
   [[nodiscard]] bool has_window_for(const SkbPtr& skb) const {
     return skb != nullptr &&
            skb->byte_offset + static_cast<std::uint64_t>(skb->size) <=
@@ -349,11 +349,14 @@ class SchedulerContext {
 };
 
 /// The built-in default scheduler (MinRTT with backup semantics), callable on
-/// a bare context: reinjections first on the lowest-RTT available non-backup
-/// subflow that has not carried the packet, then fresh data on the lowest-RTT
-/// available subflow; backup subflows only while no non-backup subflow is
+/// a bare context: the RQ head first, on the lowest-RTT available subflow
+/// that has not carried it, else on the lowest-RTT available subflow; then
+/// the Q head on the lowest-RTT available subflow while the receive window
+/// admits it; backup subflows only while no non-backup subflow is
 /// established. Shared by sched::make_native_minrtt() and the engine's
-/// scheduler-fault fallback, so both are one implementation.
+/// scheduler-fault fallback, so both are one implementation. The built-in
+/// `minrtt` spec (sched/specs.hpp) is its twin: the SchedParity test proves
+/// that both drive every world event for event, on every backend.
 void run_default_minrtt(SchedulerContext& ctx);
 
 /// A scheduler: one execution per trigger, reading and acting through the

@@ -75,11 +75,11 @@ void SubflowSender::transmit_fresh(const SkbPtr& skb) {
   trace_.emit(TraceEventType::kTx, now, slot_, reinject ? 1 : 0, skb->size,
               static_cast<std::int64_t>(skb->meta_seq));
   conn_.on_transmitted(skb);
-  put_on_wire(seg, /*is_retransmit=*/false);
+  put_on_wire(seg);
   if (!rto_armed_) arm_rto();
 }
 
-void SubflowSender::put_on_wire(const TxSeg& seg, bool is_retransmit) {
+void SubflowSender::put_on_wire(const TxSeg& seg) {
   last_tx_at_ = sim_.now();
   // The wire carries the DSS checksum the sender computed for this mapping
   // (TxSeg keeps its own copy of the mapping, so recompute from it — equal
@@ -134,12 +134,11 @@ void SubflowSender::put_on_wire(const TxSeg& seg, bool is_retransmit) {
           if (ack_stripped) conn_.on_ack_tampered(slot_);
         });
       });
+  // An enqueue-full drop means the packet is simply gone — the RTO recovers
+  // it exactly as a wire loss would.
   if (sent) {
     tsq_bytes_ += seg.size;
   }
-  // An enqueue-full drop means the packet is simply gone — the RTO recovers
-  // it exactly as a wire loss would.
-  (void)is_retransmit;
 }
 
 void SubflowSender::retransmit_head() {
@@ -151,7 +150,7 @@ void SubflowSender::retransmit_head() {
   stats_.bytes_sent += head.size;
   trace_.emit(TraceEventType::kRetx, sim_.now(), slot_, 0, head.size,
               static_cast<std::int64_t>(head.meta_seq));
-  put_on_wire(head, /*is_retransmit=*/true);
+  put_on_wire(head);
 }
 
 void SubflowSender::on_ack(const AckInfo& ack) {

@@ -164,7 +164,7 @@ class SubflowSender {
   };
 
   void transmit_fresh(const SkbPtr& skb);
-  void put_on_wire(const TxSeg& seg, bool is_retransmit);
+  void put_on_wire(const TxSeg& seg);
   void retransmit_head();
   void on_ack(const AckInfo& ack);
   void enter_recovery_and_reinject();

@@ -57,7 +57,7 @@ std::int64_t Vm::dispatch_helper(Helper helper, SchedulerEnv& env) {
     case Helper::kTimeMs:
       return env.time_ms();
     case Helper::kHasWindow:
-      return env.has_window_for(static_cast<PktHandle>(a2));
+      return env.has_window_for(a1, static_cast<PktHandle>(a2));
     case Helper::kPrint:
       env.print(a1);
       return 0;

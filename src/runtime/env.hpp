@@ -77,7 +77,12 @@ class SchedulerEnv {
   // ---- Actions ----------------------------------------------------------------
   void push(std::int64_t sbf_idx, PktHandle h);
   void drop(PktHandle h);
-  [[nodiscard]] std::int64_t has_window_for(PktHandle h) const {
+  /// HAS_WINDOW_FOR of the dense subflow `sbf_idx`; 0 for a NULL subflow or
+  /// packet. The window itself is meta-level, so any established subflow
+  /// gives the same answer.
+  [[nodiscard]] std::int64_t has_window_for(std::int64_t sbf_idx,
+                                            PktHandle h) const {
+    if (sbf_idx < 0 || sbf_idx >= sbf_count()) return 0;
     return ctx_.has_window_for(unpin(h)) ? 1 : 0;
   }
 

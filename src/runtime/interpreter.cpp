@@ -261,10 +261,10 @@ class Interp {
         break;
       }
       case ExprKind::kHasWindowFor: {
-        eval(e.a);  // subflow operand: window accounting is meta-level
+        const Value sbf = eval(e.a);
         const Value pkt = eval(e.b);
         v.type = Type::kBool;
-        v.i = env_.has_window_for(static_cast<PktHandle>(pkt.i));
+        v.i = env_.has_window_for(sbf.i, static_cast<PktHandle>(pkt.i));
         break;
       }
       case ExprKind::kPush: {

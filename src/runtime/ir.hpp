@@ -42,7 +42,7 @@ enum class IrOp : std::uint8_t {
   kPop,        // dst <- pop front of queue imm (0 if empty)
   kPush,       // push packet handle b on subflow index a
   kDrop,       // drop packet handle a
-  kHasWindow,  // dst <- window check for packet handle b (a: subflow)
+  kHasWindow,  // dst <- window check for packet handle b on subflow a
   kPrint,      // print a
   kLabel,      // label imm
   kJmp,        // goto label imm

@@ -101,7 +101,8 @@ std::int64_t IrExecutable::run(SchedulerEnv& env, std::int64_t fuel) {
         env.drop(static_cast<PktHandle>(r(inst.a)));
         break;
       case IrOp::kHasWindow:
-        r(inst.dst) = env.has_window_for(static_cast<PktHandle>(r(inst.b)));
+        r(inst.dst) =
+            env.has_window_for(r(inst.a), static_cast<PktHandle>(r(inst.b)));
         break;
       case IrOp::kPrint:
         env.print(r(inst.a));

@@ -3,44 +3,37 @@
 namespace progmp::sched::specs {
 
 const char* const kMinRtt = R"(
-/* Default MinRTT scheduler. Reinjections (suspected losses) are served
-   first, on an available subflow that has not carried the packet yet.
-   Fresh data goes to the available subflow with the lowest smoothed RTT.
-   Backup subflows are considered only when no non-backup subflow exists
-   (the Linux backup semantics revisited in section 3.4) — for fresh data
-   AND for reinjections: when every regular subflow failed, the stranded
-   packets must be allowed onto the backups or the connection wedges at
-   the meta-level reassembly gap. */
-VAR avail = SUBFLOWS.FILTER(s => !s.TSQ_THROTTLED AND !s.LOSSY
-                                 AND s.CWND > s.QUEUED + s.SKBS_IN_FLIGHT);
-VAR nonbk = avail.FILTER(s => !s.IS_BACKUP);
-IF (!RQ.EMPTY) {
-  IF (SUBFLOWS.FILTER(s => !s.IS_BACKUP).EMPTY) {
-    /* only backups exist: reinject on them */
-    VAR rbk = avail.FILTER(s => !RQ.TOP.SENT_ON(s)).MIN(s => s.RTT);
-    IF (rbk != NULL) {
-      rbk.PUSH(RQ.POP());
-    }
-  } ELSE {
-    VAR rsbf = nonbk.FILTER(s => !RQ.TOP.SENT_ON(s)).MIN(s => s.RTT);
-    IF (rsbf != NULL) {
-      rsbf.PUSH(RQ.POP());
-    }
+/* Default MinRTT scheduler, the twin of the engine's C++ default
+   run_default_minrtt (the SchedParity test proves it event for event).
+   Candidates: not TSQ-throttled, not in loss recovery, cwnd room. Backup
+   subflows count only while no non-backup subflow is established
+   (section 3.4), for reinjections too, or the packets stranded by failed
+   regular subflows wedge the meta-level reassembly gap. The RQ head goes
+   on the lowest-RTT candidate that has not carried it, else on the
+   lowest-RTT candidate, as plain TCP retransmits; fresh data goes on the
+   lowest-RTT candidate while the receive window admits it. */
+IF (Q.EMPTY) {
+  IF (RQ.EMPTY) {
+    RETURN;
   }
 }
-IF (!Q.EMPTY) {
-  IF (SUBFLOWS.FILTER(s => !s.IS_BACKUP).EMPTY) {
-    /* only backups exist: use them */
-    VAR bsbf = avail.MIN(s => s.RTT);
-    IF (bsbf != NULL) {
-      bsbf.PUSH(Q.POP());
-    }
+VAR only_backups = SUBFLOWS.FILTER(s => !s.IS_BACKUP).EMPTY;
+VAR cands = SUBFLOWS.FILTER(s => !s.TSQ_THROTTLED AND !s.LOSSY AND s.CWND_FREE
+                            AND (only_backups OR !s.IS_BACKUP));
+VAR sbf = cands.MIN(s => s.RTT);
+IF (sbf == NULL) {
+  RETURN;
+}
+IF (!RQ.EMPTY) {
+  VAR fresh = cands.FILTER(s => !RQ.TOP.SENT_ON(s)).MIN(s => s.RTT);
+  IF (fresh != NULL) {
+    fresh.PUSH(RQ.POP());
   } ELSE {
-    VAR sbf = nonbk.MIN(s => s.RTT);
-    IF (sbf != NULL) {
-      sbf.PUSH(Q.POP());
-    }
+    sbf.PUSH(RQ.POP());
   }
+}
+IF (sbf.HAS_WINDOW_FOR(Q.TOP)) {
+  sbf.PUSH(Q.POP());
 }
 )";
 

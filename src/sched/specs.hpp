@@ -23,7 +23,11 @@
 namespace progmp::sched::specs {
 
 /// Default MinRTT scheduler (§3.4): lowest-RTT available subflow; backup
-/// subflows only when no non-backup subflow exists; reinjections first.
+/// subflows only when no non-backup subflow exists; reinjections first,
+/// on a path that has not carried them when there is one; fresh data only
+/// while the receive window admits it. The twin of the engine's C++ default
+/// (mptcp::run_default_minrtt): the SchedParity test proves both make the
+/// same decisions, event for event.
 extern const char* const kMinRtt;
 
 /// Round-robin with a cyclic register index (Fig 5).

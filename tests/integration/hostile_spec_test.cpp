@@ -29,7 +29,6 @@
 #include "core/rng.hpp"
 #include "core/time.hpp"
 #include "core/trace.hpp"
-#include "sched/native.hpp"
 #include "sched/specs.hpp"
 #include "sim/simulator.hpp"
 
@@ -94,7 +93,6 @@ struct FlapperWorld {
     apps::install_fleet_network(host.network(), 16, 48);
     flapper = open("flapper");
     healthy = open("minrtt");
-    healthy->set_scheduler(sched::make_native_minrtt());
   }
 
   static api::Host::Options options() {

@@ -1,17 +1,16 @@
-// Whole-world parity oracle: a native scheduler and its spec twin, the
-// spec on each of the three backends, must drive the same world event for
-// event. Equivalence is otherwise checked per execution
-// (tests/runtime/equivalence_test.cpp); this checks whole simulations,
-// where every push feeds back into the subflows, the receiver and the next
-// trigger, on a lossy world and two blackout worlds.
+// Whole-world parity oracles. Equivalence is otherwise checked per
+// execution (tests/runtime/equivalence_test.cpp); these check whole
+// simulations, where every push feeds back into the subflows, the receiver
+// and the next trigger, on a lossy world and two blackout worlds.
+//  * SchedParity: a native scheduler and its spec twin, the spec on each of
+//    the three backends, must drive the same world event for event. For
+//    minrtt the native is run_default_minrtt, the engine's own fallback.
+//  * BackendParity: every built-in spec must drive the same world on the
+//    interpreter and the compiled IR as on eBPF.
 //
 // The one field left out is `c` of sched_exec_end, the instruction count:
-// a native scheduler reports 0. A failure names the first divergent event.
-//
-// minrtt is left out: its spec diverges from the native on lossy_config
-// (0.01) seeds 2 and 3, because the spec lacks the native's RQ fresh-path
-// fallback and its HAS_WINDOW_FOR gate on fresh data (run_default_minrtt).
-// The change that brings the spec level with the native adds it here.
+// it differs per backend, and a native scheduler reports 0. A failure names
+// the first divergent event.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -60,6 +59,7 @@ struct ParityCase {
 };
 
 std::unique_ptr<mptcp::Scheduler> make_native(const std::string& name) {
+  if (name == "minrtt") return sched::make_native_minrtt();
   if (name == "roundrobin") return sched::make_native_roundrobin();
   return sched::make_native_redundant();
 }
@@ -102,6 +102,24 @@ bool same(const TraceEvent& x, const TraceEvent& y) {
          x.conn == y.conn;
 }
 
+/// Fails the test at the first event where `got` leaves `want`, naming
+/// both events.
+void expect_same_trace(const std::vector<TraceEvent>& want,
+                       const std::vector<TraceEvent>& got,
+                       const std::string& what, const char* want_name,
+                       const char* got_name) {
+  ASSERT_GT(want.size(), 0u) << what;
+  std::size_t i = 0;
+  while (i < want.size() && i < got.size() && same(want[i], got[i])) ++i;
+  if (i == want.size() && i == got.size()) return;
+  ADD_FAILURE() << what << ": first divergent event #" << i << " of "
+                << want.size() << " " << want_name << " / " << got.size()
+                << " " << got_name << "\n  " << want_name << ": "
+                << (i < want.size() ? render(want[i]) : "(end)") << "\n  "
+                << got_name << ": "
+                << (i < got.size() ? render(got[i]) : "(end)");
+}
+
 class SchedParity : public ::testing::TestWithParam<ParityCase> {};
 
 TEST_P(SchedParity, SpecTraceMatchesNative) {
@@ -110,31 +128,18 @@ TEST_P(SchedParity, SpecTraceMatchesNative) {
   const auto spec = sched::specs::find_spec(c.scheduler);
   ASSERT_TRUE(spec.has_value());
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    const std::vector<TraceEvent> native =
-        run_world(world, seed, make_native(c.scheduler));
-    const std::vector<TraceEvent> program = run_world(
-        world, seed, test::must_load(spec->source, c.backend, c.scheduler));
-    ASSERT_GT(native.size(), 0u);
-    std::size_t i = 0;
-    while (i < native.size() && i < program.size() &&
-           same(native[i], program[i])) {
-      ++i;
-    }
-    if (i == native.size() && i == program.size()) continue;
-    ADD_FAILURE() << world.name << " seed " << seed
-                  << ": first divergent event #" << i << " of "
-                  << native.size() << " native / " << program.size()
-                  << " spec\n  native: "
-                  << (i < native.size() ? render(native[i]) : "(end)")
-                  << "\n  spec:   "
-                  << (i < program.size() ? render(program[i]) : "(end)");
+    expect_same_trace(
+        run_world(world, seed, make_native(c.scheduler)),
+        run_world(world, seed,
+                  test::must_load(spec->source, c.backend, c.scheduler)),
+        world.name + " seed " + std::to_string(seed), "native", "spec");
   }
 }
 
 std::vector<ParityCase> all_cases() {
   std::vector<ParityCase> cases;
   for (int w = 0; w < static_cast<int>(worlds().size()); ++w) {
-    for (const char* name : {"roundrobin", "redundant"}) {
+    for (const char* name : {"minrtt", "roundrobin", "redundant"}) {
       for (const rt::Backend b : {rt::Backend::kInterpreter,
                                   rt::Backend::kCompiled, rt::Backend::kEbpf}) {
         cases.push_back({w, name, b});
@@ -149,6 +154,46 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<ParityCase>& info) {
       return worlds()[static_cast<std::size_t>(info.param.world)].name + "_" +
              info.param.scheduler + "_" + rt::backend_name(info.param.backend);
+    });
+
+/// `backend` is the reference the other two backends must match.
+class BackendParity : public ::testing::TestWithParam<ParityCase> {};
+
+TEST_P(BackendParity, InterpreterAndCompiledMatchEbpf) {
+  const ParityCase& c = GetParam();
+  const ParityWorld& world = worlds()[static_cast<std::size_t>(c.world)];
+  const auto spec = sched::specs::find_spec(c.scheduler);
+  ASSERT_TRUE(spec.has_value());
+  const auto load = [&](rt::Backend b) {
+    return test::must_load(spec->source, b, c.scheduler);
+  };
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const std::vector<TraceEvent> reference =
+        run_world(world, seed, load(c.backend));
+    for (const rt::Backend b : test::kAllBackends) {
+      if (b == c.backend) continue;
+      expect_same_trace(reference, run_world(world, seed, load(b)),
+                        world.name + " seed " + std::to_string(seed),
+                        rt::backend_name(c.backend), rt::backend_name(b));
+    }
+  }
+}
+
+std::vector<ParityCase> every_builtin() {
+  std::vector<ParityCase> cases;
+  for (int w = 0; w < static_cast<int>(worlds().size()); ++w) {
+    for (const sched::specs::NamedSpec& spec : sched::specs::all_specs()) {
+      cases.push_back({w, std::string(spec.name), rt::Backend::kEbpf});
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryBuiltin, BackendParity, ::testing::ValuesIn(every_builtin()),
+    [](const ::testing::TestParamInfo<ParityCase>& info) {
+      return worlds()[static_cast<std::size_t>(info.param.world)].name + "_" +
+             info.param.scheduler;
     });
 
 }  // namespace

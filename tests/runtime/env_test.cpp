@@ -72,6 +72,7 @@ TEST(EnvTest, OutOfRangeAccessesAreNull) {
 TEST(EnvTest, EverySubflowPropertyIsNullSafe) {
   FakeEnv env;
   env.add_subflow("a", 1000);
+  env.add_packet(QueueId::kQ);
   auto ctx = env.ctx();
   SchedulerEnv senv(ctx);
   for (int p = 0; p <= static_cast<int>(lang::SbfProp::kCwndFree); ++p) {
@@ -81,6 +82,12 @@ TEST(EnvTest, EverySubflowPropertyIsNullSafe) {
     // In-range reads must not crash for any property.
     (void)senv.sbf_prop(0, prop);
   }
+  // HAS_WINDOW_FOR is a subflow property too: FALSE on a NULL subflow even
+  // for a packet the window admits.
+  const PktHandle h = senv.queue_nth(QueueId::kQ, 0);
+  EXPECT_EQ(senv.has_window_for(0, h), 1);
+  EXPECT_EQ(senv.has_window_for(-1, h), 0);
+  EXPECT_EQ(senv.has_window_for(7, h), 0);
 }
 
 TEST(EnvTest, EveryPacketPropertyIsNullSafe) {

@@ -194,6 +194,30 @@ const char* kConstructSpecs[] = {
 INSTANTIATE_TEST_SUITE_P(Constructs, ConstructEquivalence,
                          ::testing::ValuesIn(kConstructSpecs));
 
+// HAS_WINDOW_FOR is a subflow property, so on a NULL subflow it reads FALSE
+// on every backend, even for a packet the window admits. A spec that gates
+// a POP on it must not lose the packet into a no-op push.
+TEST(NullSubflowEquivalence, HasWindowForOfNullSubflowIsFalse) {
+  for (const Backend backend : test::kAllBackends) {
+    FakeEnv env;
+    env.add_subflow("a", 1000);
+    env.add_packet(QueueId::kQ);
+    auto program = must_load(
+        "IF (SUBFLOWS.GET(0).HAS_WINDOW_FOR(Q.TOP)) { SET(R2, 1); }"
+        "IF (SUBFLOWS.GET(5).HAS_WINDOW_FOR(Q.TOP)) { SET(R1, 1); }"
+        "VAR bsbf = SUBFLOWS.GET(R3 - 1);"
+        "IF (bsbf.HAS_WINDOW_FOR(Q.TOP)) { bsbf.PUSH(Q.POP()); }",
+        backend);
+    auto ctx = env.ctx();
+    program->schedule(ctx);
+    const char* name = rt::backend_name(backend);
+    EXPECT_EQ(env.registers[1], 1) << name;  // the non-NULL control
+    EXPECT_EQ(env.registers[0], 0) << name;
+    EXPECT_EQ(env.q.size(), 1u) << name;
+    EXPECT_TRUE(ctx.actions().empty()) << name;
+  }
+}
+
 // Arithmetic at the int64 edges wraps identically on every backend
 // (runtime/arith.hpp): INT64_MIN / -1 and % -1 must neither trap nor
 // differ, and overflow wraps instead of being undefined. Operands come once

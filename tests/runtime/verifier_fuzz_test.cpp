@@ -362,7 +362,7 @@ TEST(VerifierAbsintTest, BuiltinVerdictsAndBoundsArePinned) {
   // counts under the environment model. A verifier change that moves one
   // changes what the verifier proves, not just how fast it proves it.
   const std::vector<std::pair<std::string, std::int64_t>> want = {
-      {"minrtt", 5'124},
+      {"minrtt", 2'572},
       {"roundrobin", 1'085},
       {"redundant", 339'557},
       {"opportunistic_redundant", 1'564},
@@ -393,7 +393,7 @@ TEST(VerifierAbsintTest, BuiltinVerdictsAndBoundsArePinned) {
     EXPECT_EQ(v.derived_insn_bound, bound) << name;
     total += v.derived_insn_bound;
   }
-  EXPECT_EQ(total, 1'945'824);
+  EXPECT_EQ(total, 1'943'272);
 }
 
 // ---- State layout: registers plus only the stack slots LDX/STX touch --------
