@@ -7,7 +7,8 @@
 // semantics keep LTE idle while WiFi's RTO backs off exponentially. With the
 // consecutive-RTO death threshold armed, the subflow is declared dead after
 // a few RTOs, its stranded packets are reinjected and rescheduled onto LTE,
-// and the restored link revives WiFi with a fresh sequence space.
+// and once keepalive probes across the restored path are answered WiFi is
+// revived with a fresh sequence space.
 //
 // All figures are trace-derived; reinjected copies are separable from fresh
 // sends via the kTx reinjection flag.
@@ -60,13 +61,12 @@ sim::Link::GilbertElliott silent_loss() {
 }
 
 Result run(const char* scheduler, int rto_death_threshold,
-           bool probe_revival = false, bool silent_blackout = false) {
+           bool silent_blackout = false) {
   sim::Simulator sim;
   mptcp::MptcpConnection::Config cfg =
       apps::handover_config(rto_death_threshold);
   cfg.trace_enabled = true;
   cfg.trace_capacity = 1 << 21;
-  cfg.probe_revival = probe_revival;
   mptcp::MptcpConnection conn(sim, cfg, Rng(42));
   conn.set_scheduler(load_builtin(scheduler));
 
@@ -114,13 +114,11 @@ Result run(const char* scheduler, int rto_death_threshold,
   }
   result.deaths = conn.subflow(0).stats().deaths;
   result.revivals = conn.subflow(0).stats().revivals;
-  if (const mptcp::PathHealthMonitor* health = conn.path_health()) {
-    for (int s = 0; s < conn.subflow_count(); ++s) {
-      const mptcp::PathHealthMonitor::SlotStats& ph = health->stats(s);
-      result.probe_wire_bytes +=
-          (ph.probes_sent + ph.keepalives_sent) * mptcp::kHeaderBytes +
-          ph.probe_acks * mptcp::SubflowSender::kAckBytes;
-    }
+  for (int s = 0; s < conn.subflow_count(); ++s) {
+    const mptcp::PathHealthMonitor::SlotStats& ph = conn.path_health().stats(s);
+    result.probe_wire_bytes +=
+        (ph.probes_sent + ph.keepalives_sent) * mptcp::kHeaderBytes +
+        ph.probe_acks * mptcp::SubflowSender::kAckBytes;
   }
   result.proc_dump = api::ProgmpApi::proc_dump(conn);
   result.trace_jsonl = conn.tracer().to_jsonl();
@@ -140,19 +138,13 @@ int main() {
       "connection during the outage; with detection the stream survives");
 
   const Result frozen = run("minrtt", /*rto_death_threshold=*/0);
+  // The restore is only a hint: re-admission waits for answered keepalive
+  // probes (kProbeRequiredAcks sane echoes).
   const Result resilient = run("minrtt", /*rto_death_threshold=*/3);
-  // Probe-proven revival: the restore is only a hint, re-admission waits for
-  // answered keepalive probes (probe_required_acks sane echoes).
-  const Result probed =
-      run("minrtt", /*rto_death_threshold=*/3, /*probe_revival=*/true);
   // The silent blackout: total loss with no link-down/up signal at all.
-  // Trust-the-link revival has nothing to trust — only probing can heal.
-  const Result silent_trust =
-      run("minrtt", /*rto_death_threshold=*/3, /*probe_revival=*/false,
-          /*silent_blackout=*/true);
-  const Result silent_probed =
-      run("minrtt", /*rto_death_threshold=*/3, /*probe_revival=*/true,
-          /*silent_blackout=*/true);
+  // Nothing hints at the heal; the probe schedule alone finds it.
+  const Result silent =
+      run("minrtt", /*rto_death_threshold=*/3, /*silent_blackout=*/true);
   // Scheduler-level outage masking (§5.3): redundant schedulers keep a live
   // copy on LTE the whole time, so the blackout never shows — at the price
   // of transmission overhead that reactive handover does not pay.
@@ -176,7 +168,6 @@ int main() {
   };
   row("minrtt, no handling", frozen);
   row("minrtt, rto_death_threshold=3", resilient);
-  row("minrtt, + probe-proven revival", probed);
   row("redundant (ReMP)", remp);
   row("opportunistic_redundant", opportunistic);
   std::printf("%s", table.str().c_str());
@@ -187,22 +178,16 @@ int main() {
   };
   std::printf(
       "\nRecovery after the path heals at t=8 s (first fresh wifi tx):\n");
-  std::printf("  signaled blackout, trust-the-link revival : %s\n",
-              latency_str(resilient).c_str());
   std::printf(
-      "  signaled blackout, probe-proven revival   : %s  "
+      "  signaled blackout, probe-proven revival : %s  "
       "(probe wire bytes: %lld)\n",
-      latency_str(probed).c_str(),
-      static_cast<long long>(probed.probe_wire_bytes));
-  std::printf("  silent blackout,   trust-the-link revival : %s  "
-              "(wifi revivals: %lld)\n",
-              latency_str(silent_trust).c_str(),
-              static_cast<long long>(silent_trust.revivals));
+      latency_str(resilient).c_str(),
+      static_cast<long long>(resilient.probe_wire_bytes));
   std::printf(
-      "  silent blackout,   probe-proven revival   : %s  "
+      "  silent blackout,   probe-proven revival : %s  "
       "(probe wire bytes: %lld)\n",
-      latency_str(silent_probed).c_str(),
-      static_cast<long long>(silent_probed.probe_wire_bytes));
+      latency_str(silent).c_str(),
+      static_cast<long long>(silent.probe_wire_bytes));
 
   std::printf("\n%s",
               frozen.series
@@ -256,25 +241,23 @@ int main() {
           opportunistic.rate_after > remp.rate_after &&
           opportunistic.delivered == opportunistic.written);
   ok &= check_shape(
-      "probe-proven revival still delivers the whole stream and re-admits "
-      "wifi within 100 ms of the restore (a few probe RTTs, not a timer)",
-      probed.delivered == probed.written && probed.revivals == 1 &&
-          probed.recovery_latency >= TimeNs{0} &&
-          probed.recovery_latency < milliseconds(100));
+      "probe-proven revival re-admits wifi within 100 ms of the restore (a "
+      "few probe RTTs, not a timer)",
+      resilient.recovery_latency >= TimeNs{0} &&
+          resilient.recovery_latency < milliseconds(100));
   ok &= check_shape(
       "probing overhead is negligible: probe + echo wire bytes under 0.1% "
       "of delivered payload",
-      probed.probe_wire_bytes > 0 &&
-          probed.probe_wire_bytes * 1000 < probed.delivered);
+      resilient.probe_wire_bytes > 0 &&
+          resilient.probe_wire_bytes * 1000 < resilient.delivered);
   ok &= check_shape(
-      "under a silent blackout trust-the-link never revives wifi (no link "
-      "event ever fires) while probing heals it",
-      silent_trust.revivals == 0 && silent_probed.revivals == 1);
+      "probing heals a silent blackout (no link event ever fires)",
+      silent.revivals == 1);
   ok &= check_shape(
       "probe-proven recovery from the silent blackout is bounded by the "
       "probe schedule (fresh wifi data within 3 s of the heal, i.e. "
-      "probe_interval_max + the required-acks proof)",
-      silent_probed.recovery_latency >= TimeNs{0} &&
-          silent_probed.recovery_latency < seconds(3));
+      "kProbeIntervalMax + the required-acks proof)",
+      silent.recovery_latency >= TimeNs{0} &&
+          silent.recovery_latency < seconds(3));
   return ok ? 0 : 1;
 }

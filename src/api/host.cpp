@@ -34,7 +34,6 @@ Host::Host(sim::Simulator& sim, ProgmpApi& api, Rng rng, Options opts)
       return connection(conn_id).delivered_bytes();
     });
   }
-  if (opts_.quarantine) quarantine_ = std::make_unique<SpecQuarantine>(*this);
 }
 
 void Host::set_program_phase(const std::string& program,
@@ -108,17 +107,15 @@ mptcp::MptcpConnection* Host::open_connection(
   connections_.push_back(std::move(conn));
   scheduler_names_.push_back(scheduler_name);
   mptcp::MptcpConnection* opened = connections_.back().get();
-  if (quarantine_ != nullptr) {
-    opened->set_fault_observer(
-        [this, scheduler_name](mptcp::FaultKind, mptcp::TriggerKind) {
-          quarantine_->on_fault(scheduler_name);
-        });
-    // A program already in quarantine stays demoted for new tenants too —
-    // otherwise opening a connection would reset the containment.
-    if (quarantine_->quarantined(scheduler_name)) {
-      opened->set_quarantine_state(
-          static_cast<std::int64_t>(SpecQuarantine::Phase::kQuarantined));
-    }
+  opened->set_fault_observer(
+      [this, scheduler_name](mptcp::FaultKind, mptcp::TriggerKind) {
+        quarantine_.on_fault(scheduler_name);
+      });
+  // A program already in quarantine stays demoted for new tenants too —
+  // otherwise opening a connection would reset the containment.
+  if (quarantine_.quarantined(scheduler_name)) {
+    opened->set_quarantine_state(
+        static_cast<std::int64_t>(SpecQuarantine::Phase::kQuarantined));
   }
   return opened;
 }
@@ -184,16 +181,14 @@ void Host::refresh_metrics() {
     *metrics_.counter("host.mem.sheds") = ps.sheds;
     *metrics_.counter("host.mem.restores") = ps.restores;
   }
-  if (quarantine_ != nullptr) {
-    *metrics_.counter("host.quarantines") = quarantine_->total_quarantines();
-    *metrics_.counter("host.reinstates") = quarantine_->total_reinstates();
-    std::int64_t active = 0;
-    for (const auto& [name, st] : quarantine_->stats()) {
-      *metrics_.gauge("prog.fault_score." + name) = st.faults_total;
-      if (st.phase == SpecQuarantine::Phase::kQuarantined) ++active;
-    }
-    *metrics_.gauge("host.quarantine_active") = active;
+  *metrics_.counter("host.quarantines") = quarantine_.total_quarantines();
+  *metrics_.counter("host.reinstates") = quarantine_.total_reinstates();
+  std::int64_t active = 0;
+  for (const auto& [name, st] : quarantine_.stats()) {
+    *metrics_.gauge("prog.fault_score." + name) = st.faults_total;
+    if (st.phase == SpecQuarantine::Phase::kQuarantined) ++active;
   }
+  *metrics_.gauge("host.quarantine_active") = active;
 }
 
 std::string Host::proc_dump() {

@@ -55,12 +55,6 @@ class Host {
     /// open_connection refuses (returns nullptr) a connection the pool
     /// cannot grant RecvMemPool::kMinShareBytes.
     RecvMemPool::Config mem_pool;
-
-    /// Hostile-spec quarantine (SpecQuarantine): a scheduler program that
-    /// keeps faulting is demoted host-wide to the default scheduler for a
-    /// doubling cooldown, then reinstated on probation. Off by default (the
-    /// seed behaviour).
-    bool quarantine = false;
   };
 
   /// `api` holds the loaded scheduler programs and must outlive the host.
@@ -122,16 +116,16 @@ class Host {
   [[nodiscard]] RecvMemPool* mem_pool() { return mem_pool_.get(); }
   [[nodiscard]] const RecvMemPool* mem_pool() const { return mem_pool_.get(); }
 
-  /// The per-program quarantine manager — null while Options::quarantine
-  /// is off.
-  [[nodiscard]] SpecQuarantine* quarantine() { return quarantine_.get(); }
-  [[nodiscard]] const SpecQuarantine* quarantine() const {
-    return quarantine_.get();
-  }
+  /// The per-program quarantine manager, always armed: a scheduler program
+  /// that keeps faulting is demoted host-wide to the default scheduler for
+  /// a doubling cooldown, then reinstated on probation. A program that
+  /// never faults never meets it.
+  [[nodiscard]] SpecQuarantine& quarantine() { return quarantine_; }
+  [[nodiscard]] const SpecQuarantine& quarantine() const { return quarantine_; }
 
   /// Host-level metrics (host.*, sim.*, skb_pool.*, the network's net.*
-  /// link figures, and the host.mem.* / quarantine entries of whichever
-  /// managers exist), current at every call.
+  /// link figures, the quarantine entries and, with a pool, host.mem.*),
+  /// current at every call.
   [[nodiscard]] const MetricsRegistry& metrics() {
     refresh_metrics();
     return metrics_;
@@ -161,7 +155,7 @@ class Host {
   std::vector<std::unique_ptr<mptcp::MptcpConnection>> connections_;
   std::vector<std::string> scheduler_names_;  ///< per conn id, for the dump
   std::unique_ptr<RecvMemPool> mem_pool_;
-  std::unique_ptr<SpecQuarantine> quarantine_;
+  SpecQuarantine quarantine_{*this};
 };
 
 /// Registers the host memory-pool invariant pack on `checker`: granted

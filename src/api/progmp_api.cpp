@@ -86,11 +86,8 @@ std::string ProgmpApi::proc_dump(mptcp::MptcpConnection& conn) {
   const mptcp::MptcpConnection::Config& cc = conn.config();
   out += "config: rto_death_threshold=" +
          std::to_string(cc.rto_death_threshold) +
-         " revival_min_uptime=" + cc.revival_min_uptime.str() +
-         " probe_revival=" + on_off(cc.probe_revival) +
          " keepalive_idle=" + cc.keepalive_idle.str() +
          " stall_timeout=" + cc.stall_timeout.str() +
-         " stall_rescue=" + on_off(cc.stall_rescue) +
          " autotune=" + on_off(cc.receiver.autotune) +
          " middlebox_fallback=" + on_off(cc.middlebox_fallback) +
          " trace_capacity=" + std::to_string(cc.trace_capacity) + '\n';

@@ -309,7 +309,6 @@ ChaosVerdict run_chaos_plan(const ChaosPlan& plan, const ChaosOptions& opts) {
   hopts.trace_capacity = 1 << 20;
   hopts.mem_pool.pool_bytes = plan.pool_bytes;
   hopts.mem_pool.shed_after = 2;
-  hopts.quarantine = hostile;
   // The host's RNG — and with it the network's link draws — is derived
   // from the plan seed, so loss draws are part of the reproducible run.
   api::Host host(sim, papi, Rng(plan.seed ^ 0xc4a05f00dULL), hopts);
@@ -330,10 +329,8 @@ ChaosVerdict run_chaos_plan(const ChaosPlan& plan, const ChaosOptions& opts) {
     if (!plan.priorities.empty()) {
       cfg.recv_priority = plan.priorities[static_cast<std::size_t>(i)];
     }
-    cfg.probe_revival = true;
     cfg.keepalive_idle = kChaosKeepaliveIdle;
     cfg.stall_timeout = kChaosStallTimeout;
-    cfg.stall_rescue = true;
     cfg.receiver.recv_buf_bytes = plan.recv_buf_bytes;
     cfg.receiver.app_read_bytes_per_sec = plan.app_read_bytes_per_sec;
     cfg.middlebox_fallback = opts.middlebox_tamper;
@@ -398,10 +395,8 @@ ChaosVerdict run_chaos_plan(const ChaosPlan& plan, const ChaosOptions& opts) {
     v.mem_sheds = pool->stats().sheds;
     v.mem_restores = pool->stats().restores;
   }
-  if (const api::SpecQuarantine* q = host.quarantine()) {
-    v.quarantines = q->total_quarantines();
-    v.reinstates = q->total_reinstates();
-  }
+  v.quarantines = host.quarantine().total_quarantines();
+  v.reinstates = host.quarantine().total_reinstates();
   if (opts.capture_trace) v.trace_csv = host.tracer().to_csv();
   return v;
 }

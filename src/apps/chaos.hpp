@@ -134,10 +134,10 @@ struct ChaosOptions {
   /// fallback detection armed on every tenant.
   bool middlebox_tamper = false;
   /// Tenant 0 brings a hostile scheduler drawn per seed (ChaosPlan::
-  /// hostile_kind), with the host's spec quarantine armed: malformed source
-  /// and budget bombs must be refused at load; the fault flapper loads (WCET
-  /// proof off, tiny budget), faults on every trigger and must end up
-  /// quarantined with doubling cooldowns while every tenant keeps full
+  /// hostile_kind): malformed source and budget bombs must be refused at
+  /// load; the fault flapper loads (WCET proof off, tiny budget), faults on
+  /// every trigger and must end up quarantined by the host's spec
+  /// quarantine with doubling cooldowns while every tenant keeps full
   /// delivery.
   bool hostile_spec = false;
 

@@ -143,12 +143,10 @@ mptcp::MptcpConnection::Config fleet_user_config(bool lte_backup_flag) {
   return cfg;
 }
 
-mptcp::MptcpConnection::Config fleet_handover_config(int rto_death_threshold,
-                                                     TimeNs revival_min_uptime) {
+mptcp::MptcpConnection::Config fleet_handover_config(int rto_death_threshold) {
   mptcp::MptcpConnection::Config cfg =
       fleet_user_config(/*lte_backup_flag=*/true);
   cfg.rto_death_threshold = rto_death_threshold;
-  cfg.revival_min_uptime = revival_min_uptime;
   return cfg;
 }
 

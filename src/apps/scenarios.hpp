@@ -48,7 +48,7 @@ mptcp::MptcpConnection::Config mobile_config(bool lte_backup_flag,
 
 /// The WiFi-walk-away handover scenario (§2, Fig 1): the mobile connection
 /// with LTE as backup and automatic path-failure resilience armed — a
-/// consecutive-RTO death threshold plus revival on link restore. Pair it
+/// consecutive-RTO death threshold plus probe-proven revival. Pair it
 /// with sim::FaultInjector::blackout on path(0) to model leaving and
 /// re-entering WiFi range.
 mptcp::MptcpConnection::Config handover_config(int rto_death_threshold = 3,
@@ -98,10 +98,10 @@ void install_fleet_network(sim::Network& net, std::int64_t wifi_ap_mbps = 120,
 mptcp::MptcpConnection::Config fleet_user_config(bool lte_backup_flag = true);
 
 /// fleet_user_config with automatic path-failure resilience armed (the
-/// handover_config of the fleet world): RTO death threshold + revival on
-/// restore, with optional hysteresis against a flapping AP.
+/// handover_config of the fleet world): RTO death threshold + probe-proven
+/// revival, which keeps a flapping AP out until its probes are answered.
 mptcp::MptcpConnection::Config fleet_handover_config(
-    int rto_death_threshold = 3, TimeNs revival_min_uptime = TimeNs{0});
+    int rto_death_threshold = 3);
 
 /// Path id registered by install_bottleneck_network.
 inline constexpr const char* kBottleneckPath = "bottleneck";

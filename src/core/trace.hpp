@@ -47,7 +47,8 @@ enum class TraceEventType : std::uint8_t {
   kLinkUp,              ///< link restored (a=direction: 0 fwd, 1 rev)
   kLinkDrop,            ///< link dropped a packet (a=DropCause, b=wire bytes)
   kSubflowDead,         ///< subflow declared dead (a=consecutive RTOs)
-  kSubflowRevived,      ///< failed subflow revived after a link restore
+  kSubflowRevived,      ///< failed subflow revived once probe echoes
+                        ///< proved the path (a=1)
   kSchedFault,          ///< scheduler runtime fault; effects rolled back and
                         ///< the default scheduler ran instead (a=trigger
                         ///< kind, b=mptcp::FaultKind)

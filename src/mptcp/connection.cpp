@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "mptcp/path_health.hpp"
 #include "mptcp/skb_pool.hpp"
 
 namespace progmp::mptcp {
@@ -51,17 +50,12 @@ MptcpConnection::MptcpConnection(sim::Simulator& sim, Config cfg, Rng rng)
   for (const SubflowSpec& spec : cfg_.subflows) {
     create_subflow(spec);
   }
-  if (cfg_.probe_revival || cfg_.keepalive_idle > TimeNs{0}) {
-    health_ = std::make_unique<PathHealthMonitor>(sim_, *this);
-    for (int s = 0; s < subflow_count(); ++s) health_->on_subflow_attached(s);
-  }
+  for (int s = 0; s < subflow_count(); ++s) health_.on_subflow_attached(s);
   if (cfg_.stall_timeout > TimeNs{0}) {
     wd_last_progress_at_ = sim_.now();
     schedule_watchdog_poll();
   }
 }
-
-MptcpConnection::~MptcpConnection() = default;
 
 std::unique_ptr<tcp::CongestionControl> MptcpConnection::make_cc() {
   switch (cfg_.cc) {
@@ -78,12 +72,10 @@ std::unique_ptr<tcp::CongestionControl> MptcpConnection::make_cc() {
 int MptcpConnection::create_subflow(const SubflowSpec& spec) {
   const int slot = static_cast<int>(subflows_.size());
   PROGMP_CHECK_MSG(slot < kMaxSubflows, "too many subflows");
-  link_down_epoch_.push_back(0);
-  restore_amnesty_.push_back(false);
-  // A restore of the *data* link revives a failed subflow (the injector
-  // restores the ACK link first for whole-path blackouts, so both directions
-  // are usable by the time this fires). revive_subflow() is a no-op unless
-  // the subflow actually failed, so fault-free runs never take this path.
+  // A restore of the *data* link is a hint, not proof: the monitor probes a
+  // failed subflow at once, and only answered probes revive it. The hint is
+  // a no-op unless the subflow is being probed, so fault-free runs never
+  // take this path.
   if (spec.path_id.empty()) {
     // Private link pair, owned by the connection — the original behaviour.
     owned_paths_.push_back(std::make_unique<sim::NetPath>(
@@ -92,8 +84,9 @@ int MptcpConnection::create_subflow(const SubflowSpec& spec) {
     paths_.push_back(&p);
     p.forward.set_tracer(&trace_, slot, /*direction=*/0);
     p.reverse.set_tracer(&trace_, slot, /*direction=*/1);
-    p.forward.add_state_observer(
-        [this, slot](bool up) { on_path_state(slot, up); });
+    p.forward.add_state_observer([this, slot](bool up) {
+      if (up) health_.on_link_restored(slot);
+    });
   } else {
     // Shared path: the network owns links, tracer attachment and RNG; this
     // connection only observes state transitions. The observer is guarded by
@@ -104,8 +97,7 @@ int MptcpConnection::create_subflow(const SubflowSpec& spec) {
     paths_.push_back(&p);
     std::weak_ptr<int> guard{alive_};
     p.forward.add_state_observer([this, guard, slot](bool up) {
-      if (guard.expired()) return;
-      on_path_state(slot, up);
+      if (up && !guard.expired()) health_.on_link_restored(slot);
     });
   }
   subflows_.push_back(std::make_unique<SubflowSender>(
@@ -123,9 +115,6 @@ void MptcpConnection::on_transmitted(const SkbPtr& skb) {
 }
 
 void MptcpConnection::on_ack_done(int slot) {
-  // A successful ACK proves the path works post-restore; a later death is
-  // then a genuine black-path death, not the tail of a healed outage.
-  restore_amnesty_[static_cast<std::size_t>(slot)] = false;
   if (cfg_.receiver.autotune) {
     // Feed the DRS epoch clock the smallest smoothed RTT across the
     // established subflows — the receive buffer must cover the *fastest*
@@ -152,27 +141,6 @@ void MptcpConnection::on_window_blocked(const PacketQueue& blocked) {
 void MptcpConnection::on_ack_tampered(int slot) {
   ++ack_tampered_acks_;
   enter_fallback(slot, MappingFailure::kAckStripped);
-}
-
-void MptcpConnection::on_subflow_dead(int slot) {
-  fail_subflow(slot);
-  // RTO backoff can place the fatal consecutive RTO *after* the link
-  // already came back up (short blackouts). No further up-transition will
-  // arrive in that case, so a death whose RTO spiral straddled a restore
-  // must arm its own revival check or the subflow stays dead forever.
-  // The amnesty is one-shot per restore: a congestion death on a link
-  // that never went down (or that already ACKed since the restore) keeps
-  // the stay-dead-until-restore semantics, as do manual fail_subflow()
-  // calls — otherwise an up-but-black path would churn die/revive and
-  // starve the backup-subflow failover. With probe_revival the monitor
-  // owns revival: fail_subflow() above already started probing the (up)
-  // path, which subsumes the amnesty with an actual end-to-end proof.
-  const auto s = static_cast<std::size_t>(slot);
-  if (!cfg_.probe_revival && restore_amnesty_[s] &&
-      path(slot).forward.is_up()) {
-    restore_amnesty_[s] = false;
-    schedule_revival_check(slot, std::max(cfg_.revival_min_uptime, TimeNs{0}));
-  }
 }
 
 void MptcpConnection::set_scheduler(std::unique_ptr<Scheduler> scheduler) {
@@ -250,7 +218,7 @@ int MptcpConnection::add_subflow(const SubflowSpec& spec) {
     return -1;
   }
   const int slot = create_subflow(spec);
-  if (health_ != nullptr) health_->on_subflow_attached(slot);
+  health_.on_subflow_attached(slot);
   trigger({TriggerKind::kSubflowAdded, slot});
   return slot;
 }
@@ -272,7 +240,7 @@ void MptcpConnection::close_subflow(int slot) {
   // ticking against the dead slot; the next engine drain re-arms it on the
   // survivors if the connection is still window-blocked.
   cancel_persist_chain();
-  if (health_ != nullptr) health_->on_subflow_closed(slot);
+  health_.on_subflow_closed(slot);
   trigger({TriggerKind::kSubflowClosed, slot});
 }
 
@@ -294,60 +262,14 @@ void MptcpConnection::fail_subflow(int slot) {
   // no-stranded-packets invariant must flag.
   if (!test_drop_failed_subflow_orphans_) reinject_orphans(orphans);
   cancel_persist_chain();
-  if (health_ != nullptr) health_->on_subflow_failed(slot);
+  health_.on_subflow_failed(slot);
   // The scheduler sees the shrunken subflow set (established == false drops
   // the slot from SUBFLOWS) and reschedules the stranded packets on the
   // survivors — including backup subflows, per the default backup semantics.
   trigger({TriggerKind::kSubflowClosed, slot});
 }
 
-void MptcpConnection::on_path_state(int slot, bool up) {
-  if (!up) {
-    // Any pending hysteresis revival for this slot is now stale, and so is
-    // any pending death amnesty — the coming restore re-arms it.
-    ++link_down_epoch_[static_cast<std::size_t>(slot)];
-    restore_amnesty_[static_cast<std::size_t>(slot)] = false;
-    return;
-  }
-  if (cfg_.probe_revival) {
-    // With probing enabled the up-transition is a hint, not proof: it resets
-    // the probe schedule (an immediate probe), and revival happens only once
-    // the monitor collected probe_required_acks sane echoes. The death
-    // amnesty is subsumed for the same reason — a post-restore death starts
-    // probing, which carries its own revival path.
-    if (health_ != nullptr) health_->on_link_restored(slot);
-    return;
-  }
-  if (subflows_[static_cast<std::size_t>(slot)]->state() ==
-      SubflowSender::State::kEstablished) {
-    // The subflow survived the outage so far, but its RTO spiral may still
-    // declare it dead after this restore — arm the one-shot death amnesty.
-    restore_amnesty_[static_cast<std::size_t>(slot)] = true;
-  }
-  if (cfg_.revival_min_uptime <= TimeNs{0}) {
-    // Seed behaviour: trust the first up-transition.
-    revive_subflow(slot);
-    return;
-  }
-  // Hysteresis for flapping paths: re-admit the subflow only once the link
-  // stayed up for the whole probe window. A down-transition inside the
-  // window bumps the epoch and the check below abandons the revival; the
-  // next (stable) restore schedules a fresh one.
-  schedule_revival_check(slot, cfg_.revival_min_uptime);
-}
-
-void MptcpConnection::schedule_revival_check(int slot, TimeNs delay) {
-  const std::uint32_t epoch = link_down_epoch_[static_cast<std::size_t>(slot)];
-  std::weak_ptr<int> guard{alive_};
-  sim_.schedule_after(delay, [this, guard, slot, epoch] {
-    if (guard.expired()) return;
-    if (link_down_epoch_[static_cast<std::size_t>(slot)] != epoch) return;
-    if (!path(slot).forward.is_up()) return;
-    revive_subflow(slot);
-  });
-}
-
-void MptcpConnection::revive_subflow(int slot, bool probe_proven) {
+void MptcpConnection::revive_subflow(int slot) {
   PROGMP_CHECK(slot >= 0 && slot < subflow_count());
   SubflowSender& sbf = *subflows_[static_cast<std::size_t>(slot)];
   if (!sbf.can_revive()) return;
@@ -355,8 +277,8 @@ void MptcpConnection::revive_subflow(int slot, bool probe_proven) {
   receiver_->reset_subflow(slot);
   sbf.reopen();
   trace_.emit(TraceEventType::kSubflowRevived, sim_.now(), slot,
-              probe_proven ? 1 : 0);
-  if (health_ != nullptr) health_->on_subflow_revived(slot);
+              /*probe_proven=*/1);
+  health_.on_subflow_revived(slot);
   trigger({TriggerKind::kSubflowAdded, slot});
 }
 
@@ -517,19 +439,17 @@ void MptcpConnection::watchdog_poll() {
       // it and the peer's window is open — yet nothing was delivered for a
       // whole stall_timeout. An app-limited idle connection (all queues
       // empty) never reaches here.
+      // Force-reinject the oldest in-flight packet no queue holds — the
+      // packet most likely wedged on a path that silently ate it. The
+      // reinjection-first rule of every scheduler retransmits it on the next
+      // available subflow.
       bool rescued = false;
-      if (cfg_.stall_rescue) {
-        // Force-reinject the oldest in-flight packet no queue holds — the
-        // packet most likely wedged on a path that silently ate it. The
-        // reinjection-first rule of every scheduler retransmits it on the
-        // next available subflow.
-        for (const SkbPtr& skb : queues_.qu) {
-          if (skb->acked || skb->dropped || skb->in_rq || skb->in_q) continue;
-          queues_.rq.push_back(skb);
-          ++stall_rescues_;
-          rescued = true;
-          break;
-        }
+      for (const SkbPtr& skb : queues_.qu) {
+        if (skb->acked || skb->dropped || skb->in_rq || skb->in_q) continue;
+        queues_.rq.push_back(skb);
+        ++stall_rescues_;
+        rescued = true;
+        break;
       }
       ++stalls_;
       trace_.emit(TraceEventType::kConnStall, now, -1, rescued ? 1 : 0,
@@ -755,7 +675,7 @@ void MptcpConnection::abandon_subflow(int slot) {
     requeue(skb);
   }
   cancel_persist_chain();
-  if (health_ != nullptr) health_->on_subflow_closed(slot);
+  health_.on_subflow_closed(slot);
   trigger({TriggerKind::kSubflowClosed, slot});
 }
 
@@ -890,7 +810,7 @@ void MptcpConnection::refresh_metrics() {
   *metrics_.counter("link.tamper.stripped") = tamper_stripped;
   *metrics_.counter("link.tamper.corrupted") = tamper_corrupted;
 
-  if (health_ != nullptr) health_->refresh_metrics(metrics_);
+  health_.refresh_metrics(metrics_);
 
   const TimeNs now = sim_.now();
   for (const auto& sbf : subflows_) {

@@ -21,6 +21,7 @@
 #include "core/rng.hpp"
 #include "core/time.hpp"
 #include "core/trace.hpp"
+#include "mptcp/path_health.hpp"
 #include "mptcp/receiver.hpp"
 #include "mptcp/scheduler.hpp"
 #include "mptcp/skb.hpp"
@@ -31,8 +32,6 @@
 #include "tcp/congestion.hpp"
 
 namespace progmp::mptcp {
-
-class PathHealthMonitor;
 
 enum class CcKind { kReno, kLia, kCubic };
 
@@ -93,22 +92,9 @@ class MptcpConnection {
     /// Consecutive RTOs (no intervening ACK progress) after which a subflow
     /// declares itself dead and its stranded packets move to RQ. Applies to
     /// every subflow. 0 disables death detection (seed behaviour: a dead
-    /// path backs off forever).
+    /// path backs off forever). A dead subflow comes back only once
+    /// PathHealthMonitor's probes prove the path.
     int rto_death_threshold = 0;
-    /// Revival hysteresis for flapping paths: a restored forward link must
-    /// stay up this long before the failed subflow is re-admitted; another
-    /// down-transition inside the window cancels the pending revival. 0 (the
-    /// seed default) trusts the first up-transition immediately.
-    TimeNs revival_min_uptime{0};
-
-    // ---- Path health (PathHealthMonitor) -----------------------------------
-    /// Revival requires end-to-end proof: a failed subflow is re-admitted
-    /// only after PathHealthMonitor::kProbeRequiredAcks keepalive probes
-    /// came back with sane RTT samples. A forward-link up-transition then
-    /// merely resets the probe schedule instead of reviving directly. Off
-    /// (the default) keeps the trust-the-link revival — and seed
-    /// bit-identity.
-    bool probe_revival = false;
     /// When positive, an established subflow with nothing queued or in
     /// flight is probed every `keepalive_idle`;
     /// PathHealthMonitor::kKeepaliveMisses consecutive unanswered keepalives
@@ -121,13 +107,12 @@ class MptcpConnection {
     /// When positive, the connection polls for meta-level stalls: delivered
     /// bytes making no progress for `stall_timeout` while packets are
     /// outstanding (Q/QU/RQ non-empty), at least one subflow is established
-    /// and the receive window is open. A stall traces `conn_stall`, bumps
-    /// `conn.stalls` and re-triggers the scheduler. 0 = off (default).
+    /// and the receive window is open. A stall force-reinjects the oldest
+    /// in-flight packet into RQ (the §3.3 rescue lifted into infrastructure,
+    /// for wedges a custom scheduler never resolves on its own), traces
+    /// `conn_stall`, bumps `conn.stalls` and re-triggers the scheduler.
+    /// 0 = off (default).
     TimeNs stall_timeout{0};
-    /// On a declared stall, additionally force-reinject the oldest in-flight
-    /// packet into RQ — the §3.3 rescue lifted into infrastructure, for
-    /// wedges a (custom) scheduler never resolves on its own.
-    bool stall_rescue = false;
 
     // ---- Middlebox-interference fallback (RFC 8684 §3.7) --------------------
     /// Arms the fallback state machine: receiver-side detection (DSS
@@ -160,7 +145,8 @@ class MptcpConnection {
       std::function<void(std::uint64_t meta_seq, std::int32_t size, TimeNs at)>;
 
   MptcpConnection(sim::Simulator& sim, Config cfg, Rng rng);
-  ~MptcpConnection();  // out of line: PathHealthMonitor is incomplete here
+  MptcpConnection(const MptcpConnection&) = delete;
+  MptcpConnection& operator=(const MptcpConnection&) = delete;
 
   // ---- Application interface (wrapped by api::ProgmpSocket) ---------------
   /// Installs the scheduler for this connection (per-connection choice,
@@ -210,16 +196,9 @@ class MptcpConnection {
   /// Declares a subflow dead after a path failure (called automatically when
   /// the consecutive-RTO death threshold fires, or manually by tests/apps).
   /// Stranded packets move to RQ and the scheduler reschedules them on the
-  /// survivors; the subflow stays revivable.
+  /// survivors; the subflow stays revivable, and only the PathHealthMonitor
+  /// revives it, once probes proved the path.
   void fail_subflow(int slot);
-
-  /// Revives a failed subflow: fresh sequence space on both ends, slow-start
-  /// restart, and a kSubflowAdded trigger so the scheduler sees it again.
-  /// No-op unless the subflow is in the failed state. Called automatically
-  /// on link restore (or, with Config::probe_revival, by the
-  /// PathHealthMonitor once the path answered enough sane probes; such
-  /// revivals trace kSubflowRevived with a=1).
-  void revive_subflow(int slot, bool probe_proven = false);
 
   [[nodiscard]] const Config& config() const { return cfg_; }
 
@@ -328,10 +307,10 @@ class MptcpConnection {
   }
 
   // ---- Path health / watchdog introspection -------------------------------
-  /// Null unless Config::probe_revival or keepalive_idle enables it.
-  [[nodiscard]] PathHealthMonitor* path_health() { return health_.get(); }
-  [[nodiscard]] const PathHealthMonitor* path_health() const {
-    return health_.get();
+  /// The revival prober and idle-keepalive engine every connection owns.
+  [[nodiscard]] PathHealthMonitor& path_health() { return health_; }
+  [[nodiscard]] const PathHealthMonitor& path_health() const {
+    return health_;
   }
   /// Meta-level stalls the watchdog declared / packets it force-reinjected.
   [[nodiscard]] std::int64_t stalls() const { return stalls_; }
@@ -371,6 +350,7 @@ class MptcpConnection {
 
  private:
   friend class SubflowSender;
+  friend class PathHealthMonitor;
 
   int create_subflow(const SubflowSpec& spec);
 
@@ -393,17 +373,15 @@ class MptcpConnection {
   /// DATA_ACK was lost in flight. Sender-side interference detection; may
   /// fall back to single-path operation (RFC 8684 §3.7).
   void on_ack_tampered(int slot);
-  /// `slot` hit its consecutive-RTO death threshold.
-  void on_subflow_dead(int slot);
+
+  /// Called by the PathHealthMonitor once the path answered enough sane
+  /// probes: fresh sequence space on both ends, slow-start restart, and a
+  /// kSubflowAdded trigger so the scheduler sees the subflow again. No-op
+  /// unless the subflow is in the failed state.
+  void revive_subflow(int slot);
 
   void schedule_watchdog_poll();
   void watchdog_poll();
-  /// Up/down observer for the forward (data) link of `slot` — drives the
-  /// revival policy, including the revival_min_uptime hysteresis window.
-  void on_path_state(int slot, bool up);
-  /// Arms an epoch-guarded revival of `slot` after `delay`; abandoned if the
-  /// link goes down again (epoch bump) or is down when the check fires.
-  void schedule_revival_check(int slot, TimeNs delay);
   std::unique_ptr<tcp::CongestionControl> make_cc();
   void reinject_orphans(const std::vector<SkbPtr>& orphans);
   /// Syncs the registry's counters and gauges from the authoritative state;
@@ -481,20 +459,10 @@ class MptcpConnection {
   std::vector<sim::NetPath*> paths_;
   std::vector<std::unique_ptr<sim::NetPath>> owned_paths_;
   std::vector<std::unique_ptr<SubflowSender>> subflows_;
-  /// Down-transition counter per slot: a pending hysteresis revival is
-  /// cancelled when the link flapped again inside its window.
-  std::vector<std::uint32_t> link_down_epoch_;
-  /// One-shot per-slot amnesty armed when a link restore finds the subflow
-  /// still established: RTO backoff can declare the death *after* the
-  /// restore, when no further up-transition will arrive to revive it. The
-  /// amnesty is consumed by that death (bounding congestion-death churn to
-  /// one retry per restore) and cancelled by the first successful ACK —
-  /// a path that proved working post-restore dies for real reasons.
-  std::vector<bool> restore_amnesty_;
   std::shared_ptr<tcp::LiaCoupling> lia_group_;
-  /// Active prober/keepalive engine; created only when Config::probe_revival
-  /// or keepalive_idle enables it (null in default runs).
-  std::unique_ptr<PathHealthMonitor> health_;
+  /// Revival prober and idle keepalives. It schedules nothing until a
+  /// subflow fails or keepalive_idle is set.
+  PathHealthMonitor health_{sim_, *this};
 
   // ---- Watchdog state -----------------------------------------------------
   std::int64_t wd_last_delivered_ = 0;

@@ -50,7 +50,6 @@ void PathHealthMonitor::on_link_restored(int s) {
 }
 
 void PathHealthMonitor::start_probing(int s) {
-  if (!conn_.config().probe_revival) return;
   Slot& st = slot(s);
   if (st.probing) return;
   st.probing = true;
@@ -139,7 +138,7 @@ void PathHealthMonitor::on_probe_ack(int s, std::uint32_t epoch,
   if (++st.sane_streak >= kProbeRequiredAcks) {
     ++st.slot_stats.probe_revivals;
     stop_probing(s);
-    conn_.revive_subflow(s, /*probe_proven=*/true);
+    conn_.revive_subflow(s);
     return;
   }
   // One sane echo in hand: collect the rest of the proof at RTT cadence
@@ -186,7 +185,7 @@ void PathHealthMonitor::keepalive_tick(int s) {
         // A silently-black idle path: no RTO will ever fire for it (nothing
         // is in flight), so the keepalive is the only detector. Declare the
         // death through the normal path — harvest, reinjection, scheduler
-        // trigger, and revival probing if enabled.
+        // trigger and revival probing.
         ++st.slot_stats.keepalive_deaths;
         conn_.fail_subflow(s);
         return;  // on_subflow_failed bumped the chain; no reschedule

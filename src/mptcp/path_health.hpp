@@ -5,12 +5,14 @@
 // the reverse link):
 //
 //  * Revival probing — a *failed* subflow is probed on an exponential
-//    schedule (kProbeInterval doubling up to kProbeIntervalMax). Revival
-//    eligibility requires kProbeRequiredAcks consecutive probe echoes
-//    with sane RTT samples; a link up-transition no longer revives by
-//    itself, it merely resets the schedule and probes immediately. This is
-//    the end-to-end proof the up-transition cannot give: the link observer
-//    only sees the local segment, a probe echo proves the whole round trip.
+//    schedule (kProbeInterval doubling up to kProbeIntervalMax), and this
+//    is the only way it comes back: revival requires kProbeRequiredAcks
+//    consecutive probe echoes with sane RTT samples. A link up-transition
+//    never revives by itself, it merely resets the schedule and probes
+//    immediately. The echo is the end-to-end proof the up-transition cannot
+//    give: the link observer only sees the local segment, a probe echo
+//    proves the whole round trip, and a silent blackout (loss without any
+//    link transition) or a dead ACK path heals only this way.
 //  * Idle keepalives — an *established* subflow with nothing queued or in
 //    flight is probed every `keepalive_idle`; kKeepaliveMisses consecutive
 //    unanswered keepalives declare the subflow dead long before an RTO
@@ -21,9 +23,9 @@
 // Everything is epoch/chain-guarded against state transitions: `epoch`
 // invalidates probe echoes still in flight when the slot changes state,
 // `chain` invalidates pending probe timers when the schedule is restarted.
-// The monitor exists only when Config::probe_revival or keepalive_idle is
-// set, so default runs carry no extra events, RNG draws or trace output —
-// the seed bit-identity contract.
+// Every connection owns one monitor. It schedules nothing until a subflow
+// fails or Config::keepalive_idle is set, so fault-free runs carry no extra
+// events, RNG draws or trace output.
 #pragma once
 
 #include <array>

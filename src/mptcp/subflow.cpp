@@ -224,7 +224,7 @@ void SubflowSender::on_rto_fired() {
     // The path looks dead. Hand the decision to the connection (which
     // calls fail()) instead of burning another retransmit on a black hole.
     // Note: the call tears this subflow's queues down.
-    conn_.on_subflow_dead(slot_);
+    conn_.fail_subflow(slot_);
     return;
   }
   cc_->on_rto();

@@ -103,7 +103,7 @@ class SubflowSender {
   /// semantics as close(), but the subflow stays revivable by reopen().
   std::vector<SkbPtr> fail();
 
-  /// Revives a failed subflow after its link came back: fresh subflow
+  /// Revives a failed subflow once probes proved its path: fresh subflow
   /// sequence space (the receiver's per-slot state must be reset in
   /// tandem), cleared recovery state and a slow-start-restart congestion
   /// window. No-op unless state() == kFailed.
@@ -210,8 +210,9 @@ class SubflowSender {
   int rto_backoff_ = 1;
   int consecutive_rtos_ = 0;  ///< RTOs since the last ACK progress
   /// A revived subflow is on probation until its first ACK progress: the
-  /// up-transition only proved the link, not the path end-to-end, so a
-  /// single RTO (not rto_death_threshold of them) re-declares it dead
+  /// probe echoes that revived it proved header-sized round trips, not that
+  /// the path carries a window of data, so a single RTO (not
+  /// rto_death_threshold of them) re-declares it dead and probing resumes,
   /// instead of letting a black revival wedge the connection for a full
   /// backoff spiral.
   bool probation_ = false;

@@ -20,8 +20,8 @@ void FaultInjector::blackout(Link& link, TimeNs from, TimeNs until) {
 }
 
 void FaultInjector::blackout(NetPath& path, TimeNs from, TimeNs until) {
-  // Reverse first, forward last on restore: when the up-transition revives a
-  // subflow, its data link is already usable.
+  // Reverse first, forward last on restore: when the forward up-transition
+  // makes a dead subflow probe its path, the echo's ACK link is already up.
   blackout(path.reverse, from, until);
   blackout(path.forward, from, until);
 }

@@ -202,8 +202,9 @@ class Link {
   /// past the interface; a blackout longer than queue + propagation delay is
   /// indistinguishable from one that kills them too.
   void set_down();
-  /// Restores the link and notifies the state observers (the connection uses
-  /// this to revive a subflow that was declared dead during the outage).
+  /// Restores the link and notifies the state observers (the connection
+  /// takes it as a hint to probe a subflow that was declared dead during the
+  /// outage at once; only answered probes revive it).
   void set_up();
   [[nodiscard]] bool is_up() const { return up_; }
 

@@ -53,8 +53,9 @@ void Network::set_down(const std::string& id) {
 
 void Network::set_up(const std::string& id) {
   NetPath& p = path(id);
-  // Reverse first so ACKs flow by the time forward-link observers (subflow
-  // revival) react — the same ordering FaultInjector uses for blackouts.
+  // Reverse first so ACKs flow by the time forward-link observers (the
+  // revival probes) react — the same ordering FaultInjector uses for
+  // blackouts.
   p.reverse.set_up();
   p.forward.set_up();
 }

@@ -200,18 +200,20 @@ TEST(ApiTest, ProcDumpReportsTraceOverflowAndPathHealthKnobs) {
             std::string::npos);
   EXPECT_EQ(conn.metrics().counter_value("trace.overwritten"),
             static_cast<std::int64_t>(conn.tracer().overwritten()));
-  // The config line reflects the (default-off) path-health knobs.
-  EXPECT_NE(dump.find(" probe_revival=off"), std::string::npos);
-  EXPECT_NE(dump.find("stall_timeout="), std::string::npos);
+  // The config line reflects the (default-off) path-health knobs, and the
+  // always-present monitor reports its per-slot entries.
+  EXPECT_NE(dump.find(" keepalive_idle=0ns"), std::string::npos) << dump;
+  EXPECT_NE(dump.find(" stall_timeout=0ns"), std::string::npos) << dump;
+  EXPECT_NE(dump.find("\nsbf0.probing 0\n"), std::string::npos) << dump;
 
-  // With the robustness stack armed, the config line flips and the per-slot
-  // monitor entries appear.
-  cfg.probe_revival = true;
+  // With the watchdog and keepalives armed, the config line follows.
+  cfg.keepalive_idle = milliseconds(300);
   cfg.stall_timeout = seconds(2);
   mptcp::MptcpConnection armed_conn(sim, cfg, Rng(8));
   const std::string armed = ProgmpApi::proc_dump(armed_conn);
-  EXPECT_NE(armed.find(" probe_revival=on"), std::string::npos);
-  EXPECT_NE(armed.find("\nsbf0.probing "), std::string::npos);
+  EXPECT_NE(armed.find(" keepalive_idle=300.000ms"), std::string::npos)
+      << armed;
+  EXPECT_NE(armed.find(" stall_timeout=2.000s"), std::string::npos) << armed;
 }
 
 TEST(ApiTest, MetricsAreCurrentWithoutADump) {
@@ -288,14 +290,11 @@ TEST(ApiTest, ProcDumpPrintsEachValueOnce) {
   ASSERT_TRUE(api.load_scheduler(sched::specs::kMinRtt, "flapper", lo));
   Host::Options opts;
   opts.mem_pool.pool_bytes = 16 << 20;
-  opts.quarantine = true;
   Host host(sim, api, Rng(12), opts);
   mptcp::MptcpConnection::Config cfg = apps::heterogeneous_config(4.0);
   cfg.middlebox_fallback = true;
   cfg.rto_death_threshold = 3;
-  cfg.probe_revival = true;
   cfg.stall_timeout = milliseconds(500);
-  cfg.stall_rescue = true;
   cfg.trace_enabled = true;
   mptcp::MptcpConnection* conn = host.open_connection(cfg, "flapper");
   ASSERT_NE(conn, nullptr);
@@ -313,11 +312,10 @@ TEST(ApiTest, ProcDumpPrintsEachValueOnce) {
   conn->write(2000 * 1400);
   sim.run_until(seconds(4));
 
-  ASSERT_GT(host.quarantine()->total_quarantines(), 0);
+  ASSERT_GT(host.quarantine().total_quarantines(), 0);
   ASSERT_EQ(conn->fallbacks(), 1);
   ASSERT_GT(conn->stalls(), 0);
-  ASSERT_NE(conn->path_health(), nullptr);
-  ASSERT_GT(conn->path_health()->stats(1).probes_sent, 0);
+  ASSERT_GT(conn->path_health().stats(1).probes_sent, 0);
 
   // The connection's own dump: the listed header lines, then the registry
   // block, which carries exactly the registry's names, each once.

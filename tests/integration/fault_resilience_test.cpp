@@ -1,8 +1,8 @@
 // Path-failure resilience end to end: scripted link faults against a live
 // connection. Blackouts mid-transfer must not lose data, dead subflows must
-// revive on link restore, scheduler runtime faults must fall back to the
-// built-in default, RTO backoff must stay clamped, and every faulted run
-// must replay bit-identically at the same seed.
+// revive once probes prove the path, scheduler runtime faults must fall back
+// to the built-in default, RTO backoff must stay clamped, and every faulted
+// run must replay bit-identically at the same seed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -49,7 +49,7 @@ std::unique_ptr<mptcp::Scheduler> budget_starved_minrtt(rt::Backend backend) {
 TEST(FaultResilienceTest, BlackoutMidTransferDeliversEverything) {
   // The §2 handover: WiFi (preferred) blacks out mid-stream with LTE as
   // backup. Death detection reinjects the stranded packets onto LTE and the
-  // whole stream arrives; the restored WiFi is revived.
+  // whole stream arrives; the restored WiFi is probed back in.
   sim::Simulator sim;
   MptcpConnection conn(sim, apps::handover_config(/*rto_death_threshold=*/3),
                        Rng(42));
@@ -111,6 +111,33 @@ TEST(FaultResilienceTest, RevivedSubflowCarriesFreshDataAgain) {
   EXPECT_TRUE(saw_dead);
   EXPECT_TRUE(saw_revived);
   EXPECT_GT(fresh_wifi_tx_after_revival, 0);
+}
+
+TEST(FaultResilienceTest, AckBlackoutDeathIsProbedBackIn) {
+  // Only WiFi's ACK direction goes black, over [1 s, 3 s): the data link
+  // stays up, so it never reports a restore. The RTO spiral declares WiFi
+  // dead, and the probes that cross the healed ACK path are what bring it
+  // back.
+  sim::Simulator sim;
+  MptcpConnection conn(sim, apps::handover_config(/*rto_death_threshold=*/3),
+                       Rng(42));
+  conn.set_scheduler(minrtt());
+
+  sim::FaultInjector faults(sim);
+  faults.ack_blackout(conn.path(0), seconds(1), seconds(3));
+
+  apps::CbrSource::Options opts;
+  opts.schedule = {{TimeNs{0}, 1'000'000}};
+  opts.duration = seconds(6);
+  apps::CbrSource source(sim, conn, opts);
+  source.start();
+  sim.run_until(seconds(15));
+
+  EXPECT_GT(conn.written_bytes(), 0);
+  EXPECT_EQ(conn.delivered_bytes(), conn.written_bytes());
+  EXPECT_EQ(conn.subflow(0).stats().deaths, 1);
+  EXPECT_EQ(conn.subflow(0).stats().revivals, 1);
+  EXPECT_TRUE(conn.subflow(0).established());
 }
 
 TEST(FaultResilienceTest, SchedulerFaultFallsBackToDefaultAndCompletes) {
@@ -234,71 +261,12 @@ TEST(FaultResilienceTest, RandomizedFaultSoakAtFixedSeeds) {
   }
 }
 
-TEST(FaultResilienceTest, RevivalHysteresisDelaysReadmission) {
-  // With revival_min_uptime set, a restored link must stay up that long
-  // before the dead subflow is re-admitted — revival fires at restore +
-  // window, not at restore.
-  sim::Simulator sim;
-  mptcp::MptcpConnection::Config cfg =
-      apps::handover_config(/*rto_death_threshold=*/3);
-  cfg.revival_min_uptime = milliseconds(500);
-  cfg.trace_enabled = true;
-  MptcpConnection conn(sim, cfg, Rng(42));
-  conn.set_scheduler(minrtt());
-
-  sim::FaultInjector faults(sim);
-  faults.blackout(conn.path(0), seconds(1), seconds(3));
-
-  conn.write(2000 * 1400);
-  sim.run_until(seconds(30));
-
-  EXPECT_EQ(conn.delivered_bytes(), conn.written_bytes());
-  EXPECT_EQ(conn.subflow(0).stats().revivals, 1);
-  for (const TraceEvent& e : conn.tracer().events()) {
-    if (e.type == TraceEventType::kSubflowRevived && e.subflow == 0) {
-      EXPECT_GE(e.at, seconds(3) + milliseconds(500));
-      EXPECT_LT(e.at, seconds(4));
-    }
-  }
-}
-
-TEST(FaultResilienceTest, FlappingPathIsNotReadmittedInsideTheWindow) {
-  // A path flapping faster than the hysteresis window never comes back:
-  // every up-period (300 ms) is shorter than revival_min_uptime (500 ms), so
-  // each pending revival is cancelled by the next down-transition. Only
-  // after the flapping stops does the subflow revive — once.
-  sim::Simulator sim;
-  mptcp::MptcpConnection::Config cfg =
-      apps::handover_config(/*rto_death_threshold=*/3);
-  cfg.revival_min_uptime = milliseconds(500);
-  cfg.trace_enabled = true;
-  MptcpConnection conn(sim, cfg, Rng(42));
-  conn.set_scheduler(minrtt());
-
-  sim::FaultInjector faults(sim);
-  faults.blackout(conn.path(0), seconds(1), seconds(3));
-  faults.flap(conn.path(0), seconds(3), seconds(6), /*down_for=*/
-              milliseconds(200), /*up_for=*/milliseconds(300));
-
-  conn.write(4000 * 1400);
-  sim.run_until(seconds(60));
-
-  EXPECT_EQ(conn.delivered_bytes(), conn.written_bytes());
-  EXPECT_EQ(conn.subflow(0).stats().revivals, 1);
-  EXPECT_TRUE(conn.subflow(0).established());
-  for (const TraceEvent& e : conn.tracer().events()) {
-    if (e.type == TraceEventType::kSubflowRevived && e.subflow == 0) {
-      // Not during [3s, 6s) flapping — only after the last restore + window.
-      EXPECT_GE(e.at, seconds(6));
-    }
-  }
-}
-
-TEST(FaultResilienceTest, ZeroHysteresisRevivesImmediatelyOnRestore) {
-  // The seed behaviour (revival_min_uptime = 0) trusts the very first
-  // up-transition: under the same flap plan the subflow is re-admitted right
-  // at the t=3s restore, inside the flapping window — the churn the
-  // hysteresis exists to prevent.
+TEST(FaultResilienceTest, ProbesBringAFlappingPathBack) {
+  // WiFi blacks out over [1 s, 3 s) and then flaps (200 ms down, 300 ms up)
+  // until t=6 s, the first down-period starting right at the t=3 s restore.
+  // Each restore makes the monitor probe at once, and a 300 ms up-period
+  // holds the whole probe proof, so WiFi is back a few probe RTTs into the
+  // first one, inside the flapping window, and is established at the end.
   sim::Simulator sim;
   mptcp::MptcpConnection::Config cfg =
       apps::handover_config(/*rto_death_threshold=*/3);
@@ -316,6 +284,7 @@ TEST(FaultResilienceTest, ZeroHysteresisRevivesImmediatelyOnRestore) {
 
   EXPECT_EQ(conn.delivered_bytes(), conn.written_bytes());
   ASSERT_GE(conn.subflow(0).stats().revivals, 1);
+  EXPECT_TRUE(conn.subflow(0).established());
   TimeNs first_revival = seconds(1000);
   for (const TraceEvent& e : conn.tracer().events()) {
     if (e.type == TraceEventType::kSubflowRevived && e.subflow == 0) {
@@ -327,17 +296,16 @@ TEST(FaultResilienceTest, ZeroHysteresisRevivesImmediatelyOnRestore) {
 
 TEST(FaultResilienceTest, DeathLandingAfterRestoreStillRevives) {
   // RTO backoff can place the fatal consecutive RTO *after* the link came
-  // back up (short blackout): the revival check armed by the up-transition
-  // finds the subflow still established and does nothing, and no further
-  // up-transition ever arrives. The post-restore death amnesty must arm its
-  // own revival check or the subflow stays dead forever (regression: found
-  // driving 64-user fleets through a 1.8 s AP blackout).
+  // back up (short blackout): the up-transition finds the subflow still
+  // established, and no further up-transition ever arrives. The death
+  // itself starts probing, and the probes across the healed path revive it
+  // (regression: a subflow that stayed dead forever, found driving 64-user
+  // fleets through a 1.8 s AP blackout).
   sim::Simulator sim;
   sim::Network net(sim, Rng(99));
   apps::install_fleet_network(net);
   mptcp::MptcpConnection::Config cfg =
-      apps::fleet_handover_config(/*rto_death_threshold=*/3,
-                                  /*revival_min_uptime=*/milliseconds(50));
+      apps::fleet_handover_config(/*rto_death_threshold=*/3);
   cfg.network = &net;
   cfg.trace_enabled = true;
   // 28 MB of bulk data emit more tx/ack events than the default ring holds;
@@ -371,20 +339,21 @@ TEST(FaultResilienceTest, DeathLandingAfterRestoreStillRevives) {
   EXPECT_EQ(conn.subflow(0).stats().deaths, 1);
   EXPECT_GE(conn.subflow(0).stats().revivals, 1);
   EXPECT_TRUE(conn.subflow(0).established());
-  // The amnesty revival still honours the hysteresis window.
-  EXPECT_GE(first_revival, death_at + milliseconds(50));
+  // The revival waited for the first probe, one kProbeInterval after the
+  // death.
+  EXPECT_GE(first_revival,
+            death_at + mptcp::PathHealthMonitor::kProbeInterval);
 }
 
-TEST(FaultResilienceTest, CongestionDeathWithoutOutageGetsNoAmnesty) {
-  // A death on a link that never went down gets no amnesty: the path proved
-  // black while "up", so re-admitting it would just wedge the connection
-  // again (and again) while backup failover starves. The subflow stays dead
-  // until a genuine restore — which never comes here — and LTE carries the
-  // rest of the stream.
+TEST(FaultResilienceTest, BlackPathThatStaysUpIsNeverRevived) {
+  // A link that eats everything while administratively "up": the subflow
+  // dies, and its revival probes die on the same black link, so it is never
+  // re-admitted — re-admitting it would just wedge the connection again
+  // (and again) while backup failover starves. LTE carries the rest of the
+  // stream.
   sim::Simulator sim;
   mptcp::MptcpConnection::Config cfg =
       apps::handover_config(/*rto_death_threshold=*/3);
-  cfg.revival_min_uptime = milliseconds(50);
   cfg.trace_enabled = true;
   MptcpConnection conn(sim, cfg, Rng(42));
   conn.set_scheduler(minrtt());

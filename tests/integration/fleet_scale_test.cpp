@@ -36,8 +36,7 @@ TEST(FleetScaleTest, SixtyFourUsersShareOneApAndOneCell) {
     const char* sched = (i % 4 == 3) ? "redundant" : "minrtt";
     std::string error;
     mptcp::MptcpConnection* conn = host.open_connection(
-        apps::fleet_handover_config(/*rto_death_threshold=*/3,
-                                    /*revival_min_uptime=*/milliseconds(50)),
+        apps::fleet_handover_config(/*rto_death_threshold=*/3),
         sched, &error);
     ASSERT_NE(conn, nullptr) << error;
     apps::BulkSource::Options src;
@@ -48,7 +47,7 @@ TEST(FleetScaleTest, SixtyFourUsersShareOneApAndOneCell) {
   ASSERT_EQ(host.connection_count(), kUsers);
 
   // Mid-run AP outage: shared fate for all 64 users, WiFi subflows die via
-  // the RTO threshold and revive (with hysteresis) on restore.
+  // the RTO threshold and are probed back in after the restore.
   sim::FaultInjector faults(sim);
   faults.blackout(host.network(), apps::kFleetWifiPath, seconds(1),
                   milliseconds(1800));

@@ -10,8 +10,7 @@
 // probation fault — while co-tenants on the same shared paths keep full
 // delivery and every transition stays observable (trace events,
 // host.quarantines metric, R94 and its conn.quarantine_signal gauge). The
-// timings are SpecQuarantine's constants; Host::Options::quarantine only
-// switches the manager on.
+// timings are SpecQuarantine's constants, and every Host arms the manager.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -98,7 +97,6 @@ struct FlapperWorld {
   static api::Host::Options options() {
     api::Host::Options o;
     o.trace_enabled = true;
-    o.quarantine = true;
     return o;
   }
 
@@ -174,7 +172,7 @@ TEST(HostileSpecTest, FlapperQuarantinedWithDoublingCooldown) {
   // Observability: metric, manager stats, proc dump.
   EXPECT_EQ(w.host.metrics().counter_value("host.quarantines"),
             static_cast<std::int64_t>(quarantines.size()));
-  EXPECT_EQ(w.host.quarantine()->total_quarantines(),
+  EXPECT_EQ(w.host.quarantine().total_quarantines(),
             static_cast<std::int64_t>(quarantines.size()));
   const std::string dump = w.host.proc_dump();
   EXPECT_NE(dump.find("prog.fault_score.flapper"), std::string::npos) << dump;
@@ -188,7 +186,7 @@ TEST(HostileSpecTest, QuarantineSignalReachesR94AndClears) {
   w.drive(milliseconds(10));
   w.sim.run_until(milliseconds(50));
   EXPECT_EQ(w.flapper->quarantine_state(), 1);
-  EXPECT_TRUE(w.host.quarantine()->quarantined("flapper"));
+  EXPECT_TRUE(w.host.quarantine().quarantined("flapper"));
   // The state shows in the connection's registry while active.
   const std::string dump = w.host.proc_dump();
   const std::string conn = "conn" + std::to_string(w.flapper->conn_id());
@@ -202,8 +200,8 @@ TEST(HostileSpecTest, QuarantineSignalReachesR94AndClears) {
   // Probation survived fault-free -> healthy again, cooldown reset.
   w.sim.run_until(seconds(1));
   EXPECT_EQ(w.flapper->quarantine_state(), 0);
-  EXPECT_FALSE(w.host.quarantine()->quarantined("flapper"));
-  for (const auto& [name, st] : w.host.quarantine()->stats()) {
+  EXPECT_FALSE(w.host.quarantine().quarantined("flapper"));
+  for (const auto& [name, st] : w.host.quarantine().stats()) {
     if (name != "flapper") continue;
     EXPECT_EQ(st.phase, api::SpecQuarantine::Phase::kHealthy);
     EXPECT_EQ(st.cooldown, TimeNs{0}) << "cooldown must reset after recovery";
@@ -217,7 +215,7 @@ TEST(HostileSpecTest, NewConnectionsInheritActiveQuarantine) {
   FlapperWorld w;
   w.drive(milliseconds(10));
   w.sim.run_until(milliseconds(50));
-  ASSERT_TRUE(w.host.quarantine()->quarantined("flapper"));
+  ASSERT_TRUE(w.host.quarantine().quarantined("flapper"));
 
   // A tenant opening the quarantined program joins demoted — opening a new
   // connection must not reset the containment.
@@ -228,26 +226,6 @@ TEST(HostileSpecTest, NewConnectionsInheritActiveQuarantine) {
   // (~501ms; probation runs until ~751ms).
   w.sim.run_until(milliseconds(600));
   EXPECT_EQ(late->quarantine_state(), 2);
-}
-
-TEST(HostileSpecTest, QuarantineOffByDefaultAndInert) {
-  sim::Simulator sim;
-  api::ProgmpApi papi;
-  std::string err;
-  ASSERT_TRUE(papi.load_builtin("minrtt", &err)) << err;
-  api::Host host(sim, papi, Rng(1), api::Host::Options{});
-  EXPECT_EQ(host.quarantine(), nullptr);
-  apps::install_fleet_network(host.network(), 16, 48);
-  mptcp::MptcpConnection* conn =
-      host.open_connection(apps::fleet_handover_config(), "minrtt", &err);
-  ASSERT_NE(conn, nullptr) << err;
-  conn->write(64 * 1024, {});
-  sim.run_until(seconds(2));
-  EXPECT_EQ(conn->delivered_bytes(), conn->written_bytes());
-  // No quarantine metrics: knobs-off output is byte-identical to the
-  // pre-quarantine seed.
-  const std::string dump = host.proc_dump();
-  EXPECT_EQ(dump.find("host.quarantines"), std::string::npos) << dump;
 }
 
 }  // namespace

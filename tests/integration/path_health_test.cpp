@@ -1,12 +1,11 @@
 // Path-health probing, idle keepalives and the connection-liveness watchdog
 // end to end (`ctest -L faults`).
 //
-// Probe-proven revival must gate re-admission on answered probes (a link
-// up-transition alone is only a hint), a silent blackout — loss without any
-// link transition — must be healed by probing where trust-the-link revival
-// never fires, an idle backup path's silent death must be caught by
-// keepalives, the watchdog must never flag an app-limited idle connection,
-// and everything must replay bit-identically at the same seed.
+// Revival must be gated on answered probes (a link up-transition alone is
+// only a hint), a silent blackout — loss without any link transition — must
+// be healed by probing, an idle backup path's silent death must be caught
+// by keepalives, the watchdog must never flag an app-limited idle
+// connection, and everything must replay bit-identically at the same seed.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -40,13 +39,12 @@ sim::Link::GilbertElliott total_loss() {
 }
 
 TEST(PathHealthTest, ProbeRevivalRequiresAnsweredProbes) {
-  // Ordinary blackout with probing on: the restore no longer revives by
-  // itself — the subflow comes back only after kProbeRequiredAcks sane
-  // echoes, and the revival trace marks it probe-proven (a=1).
+  // Ordinary blackout: the restore does not revive by itself — the subflow
+  // comes back only after kProbeRequiredAcks sane echoes, and the revival
+  // trace marks it probe-proven (a=1).
   sim::Simulator sim;
   mptcp::MptcpConnection::Config cfg =
       apps::handover_config(/*rto_death_threshold=*/3);
-  cfg.probe_revival = true;
   cfg.trace_enabled = true;
   cfg.trace_capacity = 1 << 20;
   MptcpConnection conn(sim, cfg, Rng(42));
@@ -67,8 +65,7 @@ TEST(PathHealthTest, ProbeRevivalRequiresAnsweredProbes) {
   EXPECT_EQ(conn.subflow(0).stats().revivals, 1);
   EXPECT_TRUE(conn.subflow(0).established());
 
-  ASSERT_NE(conn.path_health(), nullptr);
-  const mptcp::PathHealthMonitor::SlotStats& ph = conn.path_health()->stats(0);
+  const mptcp::PathHealthMonitor::SlotStats& ph = conn.path_health().stats(0);
   EXPECT_GT(ph.probes_sent, 0);
   EXPECT_GE(ph.probe_acks, mptcp::PathHealthMonitor::kProbeRequiredAcks);
   EXPECT_EQ(ph.probe_revivals, 1);
@@ -89,40 +86,31 @@ TEST(PathHealthTest, ProbeRevivalRequiresAnsweredProbes) {
 
 TEST(PathHealthTest, SilentBlackoutHealedOnlyByProbing) {
   // Total loss on the WiFi forward link during [2 s, 6 s) with no link
-  // transition at all. Trust-the-link revival never fires (there is no
-  // restore event); probing detects the heal and re-admits the path.
-  for (const bool probing : {false, true}) {
-    sim::Simulator sim;
-    mptcp::MptcpConnection::Config cfg =
-        apps::handover_config(/*rto_death_threshold=*/3);
-    cfg.probe_revival = probing;
-    MptcpConnection conn(sim, cfg, Rng(42));
-    conn.set_scheduler(sched::make_native_minrtt());
+  // transition at all: there is no restore event to hint at the heal, so
+  // the probe schedule alone detects it and re-admits the path.
+  sim::Simulator sim;
+  mptcp::MptcpConnection::Config cfg =
+      apps::handover_config(/*rto_death_threshold=*/3);
+  MptcpConnection conn(sim, cfg, Rng(42));
+  conn.set_scheduler(sched::make_native_minrtt());
 
-    sim::FaultInjector faults(sim);
-    faults.burst_loss(conn.path(0).forward, seconds(2), seconds(6),
-                      total_loss());
+  sim::FaultInjector faults(sim);
+  faults.burst_loss(conn.path(0).forward, seconds(2), seconds(6),
+                    total_loss());
 
-    apps::CbrSource::Options opts;
-    opts.schedule = {{TimeNs{0}, 1'000'000}};
-    opts.duration = seconds(10);
-    apps::CbrSource source(sim, conn, opts);
-    source.start();
-    sim.run_until(seconds(30));
+  apps::CbrSource::Options opts;
+  opts.schedule = {{TimeNs{0}, 1'000'000}};
+  opts.duration = seconds(10);
+  apps::CbrSource source(sim, conn, opts);
+  source.start();
+  sim.run_until(seconds(30));
 
-    // Either way the stream itself survives via LTE.
-    EXPECT_EQ(conn.delivered_bytes(), conn.written_bytes());
-    EXPECT_EQ(conn.subflow(0).stats().deaths, 1);
-    if (probing) {
-      EXPECT_EQ(conn.subflow(0).stats().revivals, 1)
-          << "probing failed to heal the silent blackout";
-      EXPECT_TRUE(conn.subflow(0).established());
-    } else {
-      EXPECT_EQ(conn.subflow(0).stats().revivals, 0)
-          << "death-detection-only revived without any link restore?";
-      EXPECT_FALSE(conn.subflow(0).established());
-    }
-  }
+  // The stream itself survives via LTE, and the healed WiFi comes back.
+  EXPECT_EQ(conn.delivered_bytes(), conn.written_bytes());
+  EXPECT_EQ(conn.subflow(0).stats().deaths, 1);
+  EXPECT_EQ(conn.subflow(0).stats().revivals, 1)
+      << "probing failed to heal the silent blackout";
+  EXPECT_TRUE(conn.subflow(0).established());
 }
 
 TEST(PathHealthTest, InsaneRttEchoesDoNotRevive) {
@@ -135,7 +123,6 @@ TEST(PathHealthTest, InsaneRttEchoesDoNotRevive) {
   sim::Simulator sim;
   mptcp::MptcpConnection::Config cfg =
       apps::handover_config(/*rto_death_threshold=*/3);
-  cfg.probe_revival = true;
   MptcpConnection conn(sim, cfg, Rng(42));
   conn.set_scheduler(sched::make_native_minrtt());
 
@@ -160,8 +147,7 @@ TEST(PathHealthTest, InsaneRttEchoesDoNotRevive) {
   EXPECT_EQ(conn.subflow(0).stats().deaths, 1);
   EXPECT_EQ(conn.subflow(0).stats().revivals, 0)
       << "revived on echoes slower than the sanity ceiling";
-  ASSERT_NE(conn.path_health(), nullptr);
-  EXPECT_GT(conn.path_health()->stats(0).insane_acks, 0);
+  EXPECT_GT(conn.path_health().stats(0).insane_acks, 0);
 
   sim.run_until(seconds(20));
   EXPECT_EQ(conn.subflow(0).stats().revivals, 1);
@@ -195,8 +181,7 @@ TEST(PathHealthTest, KeepaliveDetectsSilentDeathOfIdleBackup) {
   EXPECT_EQ(conn.subflow(1).stats().deaths, 1)
       << "idle black path not detected by keepalives";
   EXPECT_FALSE(conn.subflow(1).established());
-  ASSERT_NE(conn.path_health(), nullptr);
-  const mptcp::PathHealthMonitor::SlotStats& ph = conn.path_health()->stats(1);
+  const mptcp::PathHealthMonitor::SlotStats& ph = conn.path_health().stats(1);
   EXPECT_GT(ph.keepalives_sent, 0);
   EXPECT_EQ(ph.keepalive_deaths, 1);
   // The data-carrying WiFi subflow stays untouched.
@@ -211,7 +196,6 @@ TEST(PathHealthTest, WatchdogNeverFlagsAppLimitedIdle) {
   mptcp::MptcpConnection::Config cfg =
       apps::handover_config(/*rto_death_threshold=*/3);
   cfg.stall_timeout = milliseconds(500);
-  cfg.stall_rescue = true;
   MptcpConnection conn(sim, cfg, Rng(42));
   conn.set_scheduler(sched::make_native_minrtt());
 
@@ -231,7 +215,6 @@ TEST(PathHealthTest, WatchdogDeclaresStallAndRescues) {
   apps::PathSpec path;
   mptcp::MptcpConnection::Config cfg = apps::single_path_config(path);
   cfg.stall_timeout = seconds(1);
-  cfg.stall_rescue = true;
   cfg.trace_enabled = true;
   MptcpConnection conn(sim, cfg, Rng(42));
   conn.set_scheduler(sched::make_native_minrtt());
@@ -265,7 +248,6 @@ TEST(PathHealthTest, SameSeedSameProbingTrace) {
     sim::Simulator sim;
     mptcp::MptcpConnection::Config cfg =
         apps::handover_config(/*rto_death_threshold=*/3);
-    cfg.probe_revival = true;
     cfg.keepalive_idle = milliseconds(300);
     cfg.stall_timeout = seconds(2);
     cfg.trace_enabled = true;
@@ -298,9 +280,7 @@ TEST(PathHealthTest, InvariantsHoldAcrossProbedFaultedRun) {
   sim::Simulator sim;
   mptcp::MptcpConnection::Config cfg =
       apps::handover_config(/*rto_death_threshold=*/3);
-  cfg.probe_revival = true;
   cfg.stall_timeout = seconds(2);
-  cfg.stall_rescue = true;
   MptcpConnection conn(sim, cfg, Rng(42));
   conn.set_scheduler(sched::make_native_minrtt());
 

@@ -283,28 +283,37 @@ TEST(WindowUpdateCarrierTest, UpdatesRideLteOnceWifiIsDeclaredDead) {
 }
 
 TEST(WindowUpdateCarrierTest, NoEstablishedSubflowSendsNoUpdate) {
-  // The only subflow fails right after the zero-window ACK, so the slow
-  // reader's updates find no carrier and are not sent. By t=2s the reader
-  // has drained the whole buffer and has no reason to send another update,
-  // yet the sender still believes rwnd=0 when the subflow comes back. The
-  // persist timer, armed at the revival, reads the live window with its
-  // first probe and the transfer completes.
+  // The only subflow fails right after the zero-window ACK, and its data
+  // link goes down with it, so the revival probes cannot cross until t=2s.
+  // Meanwhile the slow reader's updates find no carrier and are not sent.
+  // By t=2s the reader has drained the whole buffer and has no reason to
+  // send another update, yet the sender still believes rwnd=0 when the
+  // probes bring the subflow back. The persist timer, armed at the revival,
+  // reads the live window with its first probe and the transfer completes.
   PersistRig rig(persist_config());
   rig.conn.write(20 * 1400);
-  rig.sim.schedule_at(milliseconds(50), [&] { rig.conn.fail_subflow(0); });
+  rig.sim.schedule_at(milliseconds(50), [&] {
+    rig.conn.path(0).forward.set_down();
+    rig.conn.fail_subflow(0);
+  });
   rig.sim.schedule_at(milliseconds(150), [&] { rig.conn.write(20 * 1400); });
   rig.sim.run_until(seconds(2));
+  EXPECT_FALSE(rig.conn.subflow(0).established());
   EXPECT_GT(rig.conn.receiver().window_updates_emitted(), 0);
   EXPECT_EQ(rig.conn.wnd_updates_delivered(), 0);
   EXPECT_EQ(rig.conn.rwnd_bytes(), 0);
   EXPECT_FALSE(rig.conn.persist_armed());
 
-  rig.conn.revive_subflow(0);
+  rig.conn.path(0).forward.set_up();
   rig.sim.run_until(seconds(10));
   EXPECT_EQ(rig.conn.delivered_bytes(), rig.conn.written_bytes());
+  const auto revivals = event_times(rig.conn, TraceEventType::kSubflowRevived);
+  ASSERT_EQ(revivals.size(), 1u);
+  EXPECT_GT(revivals.front(), seconds(2));
   const auto probes = event_times(rig.conn, TraceEventType::kZeroWindowProbe);
   ASSERT_FALSE(probes.empty());
-  EXPECT_EQ(probes.front(), seconds(2) + MptcpConnection::kPersistInterval);
+  EXPECT_EQ(probes.front(),
+            revivals.front() + MptcpConnection::kPersistInterval);
 }
 
 // ---- Bounded reassembly ------------------------------------------------------
